@@ -21,7 +21,7 @@ from .diagnostics import (
 )
 from .errors import CollinearityError, TaylorLabError
 from .hac import HacConfig
-from .ingest import SourceDescriptor, fetch_series, parse_quarterly_csv
+from .ingest import embedded_dataset, parse_quarterly_csv
 from .ols import RegressionSpec, fit_ols
 from .report import compare_golden, load_golden, render_diff, render_table
 from .series import Quarter
@@ -34,13 +34,15 @@ class UsageError(Exception):
 
 def _dataset(args):
     if getattr(args, "csv", None):
-        with open(args.csv, "rb") as fh:
-            raw = parse_quarterly_csv(fh.read(), args.country or "csv")
+        try:
+            with open(args.csv, "rb") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --csv {args.csv}: {exc.strerror or exc}") from None
+        raw = parse_quarterly_csv(text, args.country or "csv")
     else:
         if args.country not in ("us", "uk"):
             raise UsageError(f"--country must be us or uk, got {args.country!r}")
-        from .ingest import embedded_dataset
-
         raw = embedded_dataset(args.country)
     cfg = TransformConfig(
         inflation_target=args.target,
@@ -64,10 +66,7 @@ def _spec_from_args(args) -> RegressionSpec:
     regs = [t for t in (args.reg or "").split(",") if t.strip()]
     if not regs:
         raise UsageError("--reg needs at least one regressor")
-    if args.cov == "hac":
-        cov = HacConfig(bandwidth=args.bandwidth)
-    else:
-        cov = "classical"
+    cov = HacConfig(bandwidth=args.bandwidth) if args.cov == "hac" else None
     return RegressionSpec(
         args.dep,
         tuple(regs),
@@ -165,7 +164,6 @@ def _add_data_args(p):
 def _add_spec_args(p):
     p.add_argument("--dep", default="it", help="dependent series")
     p.add_argument("--reg", help="comma list of regressors, lag syntax name(-k)")
-    p.add_argument("--const", action="store_true", default=True)
     p.add_argument("--no-const", action="store_false", dest="const")
     p.add_argument("--sample", help="e.g. 1991Q1:2020Q1")
     p.add_argument("--cov", default="classical", choices=["classical", "hac"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,15 +83,9 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     k = pooled.n_params
     if not (start < break_at <= end):
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
-    sub1 = RegressionSpec(
-        spec.dependent, spec.regressors, spec.include_constant, (start, break_at.offset(-1))
-    )
-    sub2 = RegressionSpec(
-        spec.dependent, spec.regressors, spec.include_constant, (break_at, end)
-    )
     try:
-        fit1 = fit_ols(d, sub1)
-        fit2 = fit_ols(d, sub2)
+        fit1 = fit_ols(d, replace(spec, sample=(start, break_at.offset(-1))))
+        fit2 = fit_ols(d, replace(spec, sample=(break_at, end)))
     except SampleError as exc:
         raise SampleError(f"subsample around {break_at} too small: {exc}") from exc
     T = pooled.n_obs
@@ -118,7 +112,7 @@ def _aux_fstat(r2: float, p: int, T: int, k_aux: int) -> TestStatistic:
 
 def white_test(fit: FitResult) -> TestReport:
     """White heteroskedasticity test with squares and cross-products."""
-    X, e = fit.x_matrix, np.asarray(fit.residuals.values)
+    X, e = fit.x_matrix, fit.residuals.values
     T = fit.n_obs
     nonconst = [i for i, lab in enumerate(fit.labels) if fit.spec.regressors[i].name != CONST]
     if len(nonconst) < 2:
@@ -158,7 +152,7 @@ def breusch_godfrey_test(fit: FitResult, lags: int = 1) -> TestReport:
     """
     if lags < 1:
         raise ConfigError(f"lag order must be >= 1, got {lags}")
-    X, e = fit.x_matrix, np.asarray(fit.residuals.values)
+    X, e = fit.x_matrix, fit.residuals.values
     T, k = fit.n_obs, fit.n_params
     if T <= k + lags:
         raise SampleError(f"sample of {T} too small for {lags} residual lags")
@@ -186,7 +180,7 @@ def jarque_bera_test(residuals: Series) -> TestReport:
     kurtosis built from 1/T central moments of the residuals, as in Jarque
     & Bera (1987), EViews and ``scipy.stats.jarque_bera``.
     """
-    e = np.asarray(residuals.values)
+    e = residuals.values
     T = len(e)
     if T < 4:
         raise SampleError(f"need at least 4 residuals, got {T}")

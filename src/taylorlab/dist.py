@@ -128,8 +128,10 @@ def chi2_sf(x: float, df: float) -> float:
     """Upper-tail probability P(X > x) for chi-square with df degrees."""
     if df <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"chi-square statistic must be non-negative, got {x}")
+    if x == math.inf:
+        return 0.0
     return regularized_gamma_q(df / 2.0, x / 2.0)
 
 
@@ -137,6 +139,8 @@ def student_t_sf2(t: float, df: float) -> float:
     """Two-sided p-value 2 * P(T > |t|) for Student-t with df degrees."""
     if df <= 0:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
+    if math.isnan(t):
+        raise DomainError("t statistic is NaN")
     if t == 0.0:
         return 1.0
     return regularized_beta(df / 2.0, 0.5, df / (df + t * t))
@@ -146,7 +150,7 @@ def f_sf(x: float, df1: float, df2: float) -> float:
     """Upper-tail probability for the Fisher F distribution."""
     if df1 <= 0 or df2 <= 0:
         raise DomainError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"F statistic must be non-negative, got {x}")
     if x == 0.0:
         return 1.0

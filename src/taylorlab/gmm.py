@@ -13,14 +13,16 @@ published standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import dist
-from .errors import CollinearityError, ConfigError, SampleError
+from .errors import CollinearityError, ConfigError
 from .hac import HacConfig, default_bandwidth, long_run_cov
-from .ols import CONST, RegressionSpec, Term, _coerce_terms, build_design, summarize
+from .ols import (
+    CONST, RegressionSpec, Term, auto_sample, build_design, coerce_terms, summarize, term_columns
+)
 from .series import Dataset, Quarter
 
 
@@ -29,11 +31,11 @@ class GmmSpec:
     base: RegressionSpec
     instruments: tuple[Term, ...]
     add_constant_instrument: bool = True
-    weighting: str | HacConfig = HacConfig()
+    weighting: HacConfig | None = HacConfig()  # None: classical
     weight_updates: int = 1
 
     def __post_init__(self):
-        inst = list(_coerce_terms(self.instruments))
+        inst = list(coerce_terms(self.instruments))
         if self.add_constant_instrument and not any(t.name == CONST for t in inst):
             inst.insert(0, Term(CONST))
         object.__setattr__(self, "instruments", tuple(inst))
@@ -42,7 +44,7 @@ class GmmSpec:
                 f"under-identified: {len(inst)} instruments for "
                 f"{len(self.base.regressors)} parameters"
             )
-        if isinstance(self.weighting, str) and self.weighting != "classical":
+        if self.weighting is not None and not isinstance(self.weighting, HacConfig):
             raise ConfigError(f"unknown weighting {self.weighting!r}")
         if self.weight_updates < 0:
             raise ConfigError("weight_updates must be non-negative")
@@ -76,48 +78,37 @@ class GmmResult:
 
 
 def _solve_gmm(X, Z, y, W):
-    A = X.T @ Z @ W @ Z.T @ X
-    return np.linalg.solve(A, X.T @ Z @ W @ Z.T @ y), A
+    return np.linalg.solve(X.T @ Z @ W @ Z.T @ X, X.T @ Z @ W @ Z.T @ y)
 
 
 def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     """Estimate a linear model by instrumented GMM."""
     base = spec.base
-    all_terms = [base.dependent, *base.regressors, *spec.instruments]
     if base.sample is None:
-        from .ols import _auto_sample
-
-        sample = _auto_sample(d, all_terms)
-        base = RegressionSpec(
-            base.dependent, base.regressors, base.include_constant, sample, base.covariance
-        )
+        terms = [base.dependent, *base.regressors, *spec.instruments]
+        base = replace(base, sample=auto_sample(d, terms))
     y, X, sample = build_design(d, base)
     T, k = X.shape
-    start, end = sample
-    zcols = [
-        np.ones(T) if t.name == CONST else t.resolve(d).window(start, end)
-        for t in spec.instruments
-    ]
-    Z = np.column_stack(zcols)
+    Z = term_columns(d, spec.instruments, *sample)
     rank = np.linalg.matrix_rank(Z)
     if rank < Z.shape[1]:
         raise CollinearityError("instrument matrix is rank deficient")
 
-    if isinstance(spec.weighting, HacConfig):
+    if spec.weighting is None:  # classical: residual variance times Z'Z/T
+        df_adjust = True
+        moment_cov = lambda e: float(e @ e) / T * (Z.T @ Z) / T
+    else:
         m = spec.weighting.bandwidth or default_bandwidth(T)
         df_adjust = spec.weighting.df_adjust
         moment_cov = lambda e: long_run_cov(Z * e[:, None], m)
-    else:  # classical: residual variance times Z'Z/T
-        df_adjust = True
-        moment_cov = lambda e: float(e @ e) / T * (Z.T @ Z) / T
 
     # step 0: two-stage least squares
     W = np.linalg.inv(Z.T @ Z / T)
-    beta, _ = _solve_gmm(X, Z, y, W)
+    beta = _solve_gmm(X, Z, y, W)
     for _ in range(spec.weight_updates):
         e = y - X @ beta
         W = np.linalg.inv(moment_cov(e))
-        beta, _ = _solve_gmm(X, Z, y, W)
+        beta = _solve_gmm(X, Z, y, W)
 
     e = y - X @ beta
     gbar = Z.T @ e / T
@@ -127,8 +118,7 @@ def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
 
     # reported covariance: re-weight with the final residuals
     W_cov = np.linalg.inv(moment_cov(e))
-    _, A = _solve_gmm(X, Z, y, W_cov)
-    V = np.linalg.inv(A) * T
+    V = np.linalg.inv(X.T @ Z @ W_cov @ Z.T @ X) * T
     if df_adjust:
         V *= T / (T - k)
     V = 0.5 * (V + V.T)

@@ -11,15 +11,12 @@ from .errors import ConfigError, DomainError
 
 @dataclass(frozen=True)
 class HacConfig:
-    kernel: str = "bartlett"
     bandwidth: int | None = None  # None: sample-size rule
     # EViews-style small-sample scaling T/(T-k); required to reproduce the
     # published standard errors.
     df_adjust: bool = True
 
     def __post_init__(self):
-        if self.kernel != "bartlett":
-            raise ConfigError(f"unsupported kernel {self.kernel!r}")
         if self.bandwidth is not None and self.bandwidth < 1:
             raise ConfigError(f"bandwidth must be >= 1, got {self.bandwidth}")
 

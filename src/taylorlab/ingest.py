@@ -91,7 +91,7 @@ def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
     if not quarters:
         raise IngestError("CSV holds no observation rows")
     series = {
-        name: Series(name, quarters[0], tuple(col)) for name, col in zip(names, columns)
+        name: Series(name, quarters[0], col) for name, col in zip(names, columns)
     }
     return Dataset(country or "unnamed", series)
 
@@ -174,7 +174,7 @@ def _decode_observations(name: str, raw: bytes) -> Series:
     for (qa, _), (qb, _) in zip(pairs, pairs[1:]):
         if qb != qa.offset(1):
             raise IngestError(f"series {name!r}: observations are not consecutive quarters")
-    return Series(name, pairs[0][0], tuple(v for _, v in pairs))
+    return Series(name, pairs[0][0], [v for _, v in pairs])
 
 
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
@@ -213,13 +213,6 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
             raw = cache_path.read_bytes()
         series[role] = _decode_observations(role, raw)
-        # normalized quarterly CSV alongside the raw payload
-        s = series[role]
-        lines = ["date,value"] + [
-            f"{s.start.offset(k).year}-Q{s.start.offset(k).q},{v!r}"
-            for k, v in enumerate(s.values)
-        ]
-        _atomic_write(cache_path.with_suffix(".csv"), ("\n".join(lines) + "\n").encode())
     d = Dataset(desc.country, series)
     d.require_core()
     return d

@@ -11,7 +11,7 @@ import numpy as np
 from . import dist
 from .errors import CollinearityError, ConfigError, SampleError
 from .hac import HacConfig, default_bandwidth, newey_west_cov
-from .series import Dataset, Quarter, Series, lag
+from .series import Dataset, Quarter, Series, common_span, lag
 
 CONST = "const"
 
@@ -42,7 +42,7 @@ class Term:
         return lag(d[self.name], self.lag)
 
 
-def _coerce_terms(terms) -> tuple[Term, ...]:
+def coerce_terms(terms) -> tuple[Term, ...]:
     out = []
     for t in terms:
         out.append(t if isinstance(t, Term) else Term.parse(str(t)))
@@ -58,25 +58,26 @@ class RegressionSpec:
     The constant is the literal term ``const`` and may sit anywhere in the
     regressor list; ``include_constant`` appends it at the end when absent.
     ``sample`` is a (start, end) Quarter pair, or None for the maximal
-    sample the regressors allow.
+    sample the regressors allow. ``covariance`` is None for the classical
+    estimator or a HacConfig for Newey-West.
     """
 
     dependent: Term
     regressors: tuple[Term, ...]
     include_constant: bool = True
     sample: tuple[Quarter, Quarter] | None = None
-    covariance: str | HacConfig = "classical"
+    covariance: HacConfig | None = None
 
     def __post_init__(self):
         dep = self.dependent if isinstance(self.dependent, Term) else Term.parse(str(self.dependent))
-        regs = list(_coerce_terms(self.regressors))
+        regs = list(coerce_terms(self.regressors))
         if self.include_constant and not any(t.name == CONST for t in regs):
             regs.append(Term(CONST))
         if not regs:
             raise ConfigError("model needs at least one regressor or a constant")
         object.__setattr__(self, "dependent", dep)
         object.__setattr__(self, "regressors", tuple(regs))
-        if isinstance(self.covariance, str) and self.covariance not in ("classical", "hac"):
+        if self.covariance is not None and not isinstance(self.covariance, HacConfig):
             raise ConfigError(f"unknown covariance estimator {self.covariance!r}")
 
     @property
@@ -137,15 +138,23 @@ def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
     return np.linalg.solve(R, Q.T @ y)
 
 
-def _auto_sample(d: Dataset, terms: list[Term]) -> tuple[Quarter, Quarter]:
+def auto_sample(d: Dataset, terms) -> tuple[Quarter, Quarter]:
+    """The widest sample over which every non-constant term is observed."""
     series = [t.resolve(d) for t in terms if t.name != CONST]
     if not series:
         raise SampleError("cannot infer a sample from a constant-only model")
-    start = max(s.start for s in series)
-    end = min(s.end for s in series)
+    start, end = common_span(series)
     if end < start:
         raise SampleError("regressors share no common quarter")
     return start, end
+
+
+def term_columns(d: Dataset, terms, start: Quarter, end: Quarter) -> np.ndarray:
+    """One column per term over [start, end]; ``const`` is a column of ones."""
+    return np.column_stack([
+        np.ones(end - start + 1) if t.name == CONST else t.resolve(d).window(start, end)
+        for t in terms
+    ])
 
 
 def build_design(
@@ -153,18 +162,11 @@ def build_design(
 ) -> tuple[np.ndarray, np.ndarray, tuple[Quarter, Quarter]]:
     """Dependent vector, design matrix and adjusted sample for a spec."""
     terms = [spec.dependent, *spec.regressors]
-    start, end = spec.sample if spec.sample is not None else _auto_sample(d, terms)
-    T = end - start + 1
-    if T <= 0:
+    start, end = spec.sample if spec.sample is not None else auto_sample(d, terms)
+    if end < start:
         raise SampleError(f"empty sample range {start}..{end}")
-    cols = []
-    for t in spec.regressors:
-        if t.name == CONST:
-            cols.append(np.ones(T))
-        else:
-            cols.append(t.resolve(d).window(start, end))
-    y = spec.dependent.resolve(d).window(start, end)
-    return y, np.column_stack(cols), (start, end)
+    X = term_columns(d, spec.regressors, start, end)
+    return spec.dependent.resolve(d).window(start, end), X, (start, end)
 
 
 def summarize(
@@ -203,14 +205,12 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
     stats = summarize(y, X, beta, spec.has_constant)
     e = stats.pop("residual_vector")
 
-    if isinstance(spec.covariance, HacConfig):
-        m = spec.covariance.bandwidth or default_bandwidth(T)
-        V = newey_west_cov(X, e, m, spec.covariance.df_adjust)
-    elif spec.covariance == "hac":
-        V = newey_west_cov(X, e, default_bandwidth(T))
-    else:
+    if spec.covariance is None:
         s2 = stats["ssr"] / (T - k)
         V = s2 * np.linalg.inv(X.T @ X)
+    else:
+        m = spec.covariance.bandwidth or default_bandwidth(T)
+        V = newey_west_cov(X, e, m, spec.covariance.df_adjust)
 
     se = np.sqrt(np.diag(V))
     t_stats = beta / se
@@ -232,7 +232,7 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
         t_stats=t_stats,
         p_values=p_values,
         covariance=V,
-        residuals=Series("resid", sample[0], tuple(e)),
+        residuals=Series("resid", sample[0], e),
         sample=sample,
         n_obs=T,
         n_params=k,

@@ -7,7 +7,6 @@ start quarter, so observation ``k`` always belongs to ``start + k``.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -53,28 +52,34 @@ class Quarter:
         return f"{self.year}Q{self.q}"
 
 
-def quarter_range(start: Quarter, end: Quarter) -> list[Quarter]:
-    """All quarters from start to end inclusive; empty if end < start."""
-    return [start.offset(k) for k in range(end - start + 1)]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """Contiguous quarterly observations with no internal gaps."""
+    """Contiguous quarterly observations with no internal gaps.
+
+    ``values`` is a read-only float64 array. Writable input is copied, so
+    a caller can never change a series after the fact; read-only input
+    (a lag or a rename of another series) is shared.
+    """
 
     name: str
     start: Quarter
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) == 0:
+        values = np.asarray(self.values, dtype=float)
+        if values.flags.writeable:
+            values = values.copy()
+            values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1:
+            raise DomainError(f"series {self.name!r} values must be one-dimensional")
+        if values.size == 0:
             raise SampleError(f"series {self.name!r} must hold at least one value")
-        for k, v in enumerate(self.values):
-            if not math.isfinite(v):
-                raise DomainError(
-                    f"series {self.name!r} has non-finite value at {self.start.offset(k)}"
-                )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DomainError(
+                f"series {self.name!r} has non-finite value at {self.start.offset(int(bad[0]))}"
+            )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -92,20 +97,25 @@ class Series:
                 f"series {self.name!r} spans {self.start}..{self.end}, "
                 f"no observation at {quarter}"
             )
-        return self.values[quarter - self.start]
+        return float(self.values[quarter - self.start])
 
     def window(self, start: Quarter, end: Quarter) -> np.ndarray:
-        """Observations over [start, end] as a float array."""
+        """Observations over [start, end] as a read-only view of ``values``."""
         if not self.covers(start, end):
             raise SampleError(
                 f"series {self.name!r} spans {self.start}..{self.end}, "
                 f"cannot cover {start}..{end}"
             )
         lo = start - self.start
-        return np.asarray(self.values[lo : lo + (end - start) + 1])
+        return self.values[lo : lo + (end - start) + 1]
 
     def renamed(self, name: str) -> "Series":
         return Series(name, self.start, self.values)
+
+
+def common_span(series) -> tuple[Quarter, Quarter]:
+    """Latest start and earliest end over a list of series; empty if end < start."""
+    return max(s.start for s in series), min(s.end for s in series)
 
 
 def lag(s: Series, k: int) -> Series:
@@ -127,12 +137,13 @@ def lag(s: Series, k: int) -> Series:
 
 def natural_log(s: Series) -> Series:
     """Elementwise natural log; every value must be strictly positive."""
-    for i, v in enumerate(s.values):
-        if v <= 0:
-            raise DomainError(
-                f"log of series {s.name!r} undefined at {s.start.offset(i)}: value {v}"
-            )
-    return Series(f"log_{s.name}", s.start, tuple(math.log(v) for v in s.values))
+    bad = np.flatnonzero(s.values <= 0)
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(
+            f"log of series {s.name!r} undefined at {s.start.offset(i)}: value {s.values[i]}"
+        )
+    return Series(f"log_{s.name}", s.start, np.log(s.values))
 
 
 CORE_SERIES = ("real_gdp", "cpi", "interest_rate", "stock_index")
@@ -152,8 +163,7 @@ class Dataset:
     def __post_init__(self):
         if not self.series:
             raise SampleError("dataset needs at least one series")
-        start = max(s.start for s in self.series.values())
-        end = min(s.end for s in self.series.values())
+        start, end = common_span(self.series.values())
         if end < start:
             raise SampleError(
                 f"series of dataset {self.country!r} share no common quarter"
@@ -161,10 +171,7 @@ class Dataset:
 
     @property
     def span(self) -> tuple[Quarter, Quarter]:
-        return (
-            max(s.start for s in self.series.values()),
-            min(s.end for s in self.series.values()),
-        )
+        return common_span(self.series.values())
 
     def require(self, *names: str) -> None:
         missing = [n for n in names if n not in self.series]
@@ -203,8 +210,7 @@ def align_sample(
         raise SampleError(f"empty sample range {start}..{end}")
     for name in names:
         d[name]  # existence check with a series-level message
-    feas_start = max(d[n].start for n in names)
-    feas_end = min(d[n].end for n in names)
+    feas_start, feas_end = common_span([d[n] for n in names])
     short = [n for n in names if not d[n].covers(start, end)]
     if short:
         raise SampleError(

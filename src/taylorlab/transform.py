@@ -44,26 +44,24 @@ class TransformConfig:
 def yoy_change(s: Series, k: int = 4) -> Series:
     """100 * (s(t) - s(t-k)) for a series already in logs."""
     lagged = lag(s, k)
-    vals = 100.0 * (np.asarray(s.values[k:]) - np.asarray(lagged.values))
-    return Series(f"yoy_{s.name}", lagged.start, tuple(vals))
+    return Series(f"yoy_{s.name}", lagged.start, 100.0 * (s.values[k:] - lagged.values))
 
 
 def inflation_gap(cpi: Series, cfg: TransformConfig = TransformConfig()) -> Series:
     """Year-over-year log-CPI inflation minus the target, in percent."""
     raw = yoy_change(natural_log(cpi), cfg.yoy_lag)
-    vals = tuple(v - cfg.inflation_target for v in raw.values)
-    return Series("inflation_gap", raw.start, vals)
+    return Series("inflation_gap", raw.start, raw.values - cfg.inflation_target)
 
 
 def linear_trend_gap(gdp: Series) -> Series:
     """100 * residuals of log GDP regressed on a constant and linear trend."""
     if len(gdp) < 3:
         raise SampleError("need at least 3 observations to fit a linear trend")
-    y = np.asarray(natural_log(gdp).values)
+    y = natural_log(gdp).values
     t = np.arange(len(y), dtype=float)
     X = np.column_stack([np.ones_like(t), t])
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return Series("output_gap", gdp.start, tuple(100.0 * (y - X @ beta)))
+    return Series("output_gap", gdp.start, 100.0 * (y - X @ beta))
 
 
 def _hp_trend(y: np.ndarray, lam: float) -> np.ndarray:
@@ -87,8 +85,8 @@ def hp_filter_gap(gdp: Series, lam: float = 1600.0) -> Series:
         raise DomainError(f"smoothing parameter must be positive, got {lam}")
     if len(gdp) < 4:
         raise SampleError("need at least 4 observations for trend filtering")
-    y = np.asarray(natural_log(gdp).values)
-    return Series("output_gap", gdp.start, tuple(100.0 * (y - _hp_trend(y, lam))))
+    y = natural_log(gdp).values
+    return Series("output_gap", gdp.start, 100.0 * (y - _hp_trend(y, lam)))
 
 
 def build_taylor_dataset(d: Dataset, cfg: TransformConfig = TransformConfig()) -> Dataset:

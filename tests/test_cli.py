@@ -125,6 +125,17 @@ class TestFit:
         )
 
 
+    def test_missing_csv_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "fit", "--csv", str(tmp_path / "missing.csv"),
+            "--reg", "inflation_gap",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestTest:
     def test_wald_restriction(self, capsys):
         code, out, _ = run_cli(

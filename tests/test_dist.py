@@ -43,6 +43,14 @@ class TestChi2Sf:
             dist.chi2_sf(-1.0, 2)
         with pytest.raises(DomainError):
             dist.chi2_sf(1.0, 0)
+        with pytest.raises(DomainError):
+            dist.chi2_sf(math.nan, 2)
+
+    def test_infinite_statistic_has_no_tail(self):
+        # the same edge as the F and t tails
+        assert dist.chi2_sf(math.inf, 3) == 0.0
+        assert dist.f_sf(math.inf, 2, 30) == 0.0
+        assert dist.student_t_sf2(math.inf, 30) == 0.0
 
 
 class TestStudentTSf2:
@@ -73,6 +81,8 @@ class TestStudentTSf2:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             dist.student_t_sf2(1.0, 0)
+        with pytest.raises(DomainError):
+            dist.student_t_sf2(math.nan, 30)
 
 
 class TestFSf:
@@ -104,6 +114,8 @@ class TestFSf:
             dist.f_sf(-0.1, 2, 3)
         with pytest.raises(DomainError):
             dist.f_sf(1.0, 0, 3)
+        with pytest.raises(DomainError):
+            dist.f_sf(math.nan, 2, 30)
 
 
 class TestCdfsAgainstQuadrature:

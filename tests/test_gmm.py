@@ -56,7 +56,7 @@ class TestJustIdentified:
         base = RegressionSpec("y", ("const", "x"))
         gmm = fit_linear_gmm(
             d,
-            GmmSpec(base, ("x",), weighting="classical", weight_updates=0),
+            GmmSpec(base, ("x",), weighting=None, weight_updates=0),
         )
         ols = fit_ols(d, base)
         assert np.allclose(gmm.coefficients, ols.coefficients, atol=1e-8)
@@ -161,7 +161,7 @@ class TestClassicalWeighting:
         d = _random_iv_dataset(rng)
         base = RegressionSpec("y", ("const", "x"))
         gmm = fit_linear_gmm(
-            d, GmmSpec(base, ("z1",), weighting="classical", weight_updates=1)
+            d, GmmSpec(base, ("z1",), weighting=None, weight_updates=1)
         )
         T = gmm.n_obs
         y = np.asarray(d["y"].values)

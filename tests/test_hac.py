@@ -83,10 +83,6 @@ class TestPublishedStandardErrors:
 
 
 class TestHacConfig:
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ConfigError):
-            HacConfig(kernel="parzen")
-
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ConfigError):
             HacConfig(bandwidth=0)

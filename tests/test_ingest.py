@@ -67,12 +67,12 @@ class TestCsvRoundTrip:
         back = parse_quarterly_csv(export_quarterly_csv(d), "us")
         for name, s in d.series.items():
             assert back[name].start == s.start
-            assert back[name].values == s.values
+            assert back[name].values.tolist() == s.values.tolist()
 
     def test_blank_lines_skipped(self):
         text = "date,x\n1990-Q1,1.0\n\n1990-Q2,2.0\n"
         d = parse_quarterly_csv(text)
-        assert d["x"].values == (1.0, 2.0)
+        assert d["x"].values.tolist() == [1.0, 2.0]
 
 
 class TestCsvErrors:
@@ -166,7 +166,7 @@ class TestFetchSeries:
         p = tmp_path / "mini.csv"
         p.write_text("date,cpi\n1990-Q1,100.0\n1990-Q2,101.0\n")
         d = fetch_series(SourceDescriptor(kind="csv_path", country="us", csv_path=p))
-        assert d["cpi"].values == (100.0, 101.0)
+        assert d["cpi"].values.tolist() == [100.0, 101.0]
 
     def test_remote_replay(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
@@ -184,8 +184,6 @@ class TestFetchSeries:
         assert d["cpi"].values[0] == 100.0
         cached = list((tmp_path / "cache").glob("*.json"))
         assert len(cached) == 4
-        # a normalized CSV sits alongside each raw payload
-        assert len(list((tmp_path / "cache").glob("*.csv"))) == 4
 
     def test_cache_fallback_after_network_failure(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")

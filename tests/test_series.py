@@ -38,12 +38,51 @@ class TestQuarter:
         assert start.offset(k).offset(-k) == start
 
 
+class TestSeriesValues:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_quarter(self, bad):
+        with pytest.raises(DomainError, match="1990Q3"):
+            Series("x", Quarter(1990, 1), (1.0, 2.0, bad, 4.0))
+
+    def test_empty_series_raises(self):
+        with pytest.raises(SampleError, match="at least one value"):
+            Series("x", Quarter(1990, 1), ())
+
+    def test_two_dimensional_values_raise(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            Series("x", Quarter(1990, 1), [[1.0], [2.0]])
+
+    def test_values_are_read_only_float64(self):
+        s = Series("x", Quarter(1990, 1), [1, 2])
+        assert s.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            s.values[0] = 5.0
+
+    def test_writable_input_is_copied(self):
+        raw = np.array([1.0, 2.0])
+        s = Series("x", Quarter(1990, 1), raw)
+        raw[0] = 9.0
+        assert s.values.tolist() == [1.0, 2.0]
+        assert raw.flags.writeable
+
+    def test_window_is_a_view(self):
+        s = Series("x", Quarter(1990, 1), np.arange(8.0))
+        w = s.window(Quarter(1990, 2), Quarter(1990, 4))
+        assert np.shares_memory(w, s.values)
+        assert w.tolist() == [1.0, 2.0, 3.0]
+
+    def test_at_returns_python_float(self):
+        v = Series("x", Quarter(1990, 1), (1.0, 2.5)).at(Quarter(1990, 2))
+        assert type(v) is float
+        assert repr(v) == "2.5"
+
+
 class TestLag:
     def test_shift_by_one(self):
         s = Series("x", Quarter(1990, 1), (1.0, 2.0, 3.0))
         out = lag(s, 1)
         assert out.start == Quarter(1990, 2)
-        assert out.values == (1.0, 2.0)
+        assert out.values.tolist() == [1.0, 2.0]
         assert out.end == Quarter(1990, 3)
         assert out.name == "x(-1)"
 
@@ -64,14 +103,14 @@ class TestLag:
     @given(st.integers(0, 4), st.integers(0, 4))
     def test_lag_composes(self, a, b):
         s = Series("x", Quarter(2000, 1), tuple(float(i) for i in range(12)))
-        assert lag(lag(s, a), b).values == lag(s, a + b).values
+        assert lag(lag(s, a), b).values.tolist() == lag(s, a + b).values.tolist()
         assert lag(lag(s, a), b).start == lag(s, a + b).start
 
 
 class TestNaturalLog:
     def test_log_one(self):
         s = Series("x", Quarter(1990, 1), (1.0,))
-        assert natural_log(s).values == (0.0,)
+        assert natural_log(s).values.tolist() == [0.0]
 
     def test_exact_powers(self):
         s = Series("x", Quarter(1990, 1), (math.e, math.e**2))
