@@ -3,22 +3,51 @@
 Built on the regularized incomplete gamma and beta functions: a power
 series for the gamma function at small arguments and modified Lentz
 continued fractions elsewhere. Target absolute accuracy is 1e-10 or
-better over the df ranges used here.
+better over the df ranges used here. A series or fraction that has not
+converged within its term cap raises DomainError instead of returning a
+partial sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import DomainError
 
 _EPS = 1e-15
 _TINY = 1e-300
-_MAX_ITER = 500
+# Term cap shared by the power series and the continued fractions; the
+# incomplete-beta fraction takes two terms per step of its recurrence.
+_MAX_ITER = 1000
+
+
+def _continued_fraction(b0: float, terms) -> float:
+    """b0 + a1/(b1 + a2/(b2 + ...)) by the modified Lentz method.
+
+    ``terms`` yields the (a_n, b_n) pairs. Raises DomainError when the
+    fraction has not converged after _MAX_ITER terms.
+    """
+    h = c = b0 if b0 != 0.0 else _TINY
+    d = 0.0
+    for a, b in itertools.islice(terms, _MAX_ITER):
+        d = b + a * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + a / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise DomainError(f"continued fraction did not converge in {_MAX_ITER} terms")
 
 
 def _gamma_p_series(a: float, x: float) -> float:
-    # Lower regularized P(a, x) by its power series; good for x < a + 1.
+    # Power series of the lower regularized P(a, x) without its prefactor;
+    # good for x < a + 1.
     term = 1.0 / a
     total = term
     n = a
@@ -27,82 +56,56 @@ def _gamma_p_series(a: float, x: float) -> float:
         term *= x / n
         total += term
         if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total
+    raise DomainError(
+        f"incomplete gamma series did not converge in {_MAX_ITER} terms (a={a}, x={x})"
+    )
+
 
 def _gamma_q_cf(a: float, x: float) -> float:
-    # Upper regularized Q(a, x) by continued fraction (modified Lentz).
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    # Continued fraction of the upper regularized Q(a, x) without its
+    # prefactor: 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ...))).
+    def terms():
+        b = x + 1.0 - a
+        for i in itertools.count(1):
+            b += 2.0
+            yield -i * (i - a), b
+
+    return 1.0 / _continued_fraction(x + 1.0 - a, terms())
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
+    x = float(x)  # numpy scalars would make every term several times slower
     if a <= 0:
         raise DomainError(f"shape parameter must be positive, got {a}")
     if x < 0:
         raise DomainError(f"argument must be non-negative, got {x}")
     if x == 0:
         return 1.0
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
+        return 1.0 - front * _gamma_p_series(a, x)
+    return front * _gamma_q_cf(a, x)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz).
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h
+    # Continued fraction for the incomplete beta: 1/(1 + d1/(1 + d2/(1 + ...)))
+    # with d_{2m+1} = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1)) and
+    # d_{2m} = m(b-m)x / ((a+2m-1)(a+2m)).
+    def terms():
+        yield -(a + b) * x / (a + 1.0), 1.0
+        for m in itertools.count(1):
+            a2m = a + 2 * m
+            yield m * (b - m) * x / ((a2m - 1.0) * a2m), 1.0
+            yield -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0)), 1.0
+
+    return 1.0 / _continued_fraction(1.0, terms())
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
+    x = float(x)  # numpy scalars would make every term several times slower
     if a <= 0 or b <= 0:
         raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
     if x < 0 or x > 1:

@@ -2,12 +2,13 @@
 
 Estimation starts from two-stage least squares (weighting (Z'Z/T)^-1),
 then performs a fixed number of weight updates: each update rebuilds the
-Bartlett-kernel long-run covariance of the moment series z_t * e_t from
-the current residuals and re-solves the quadratic problem. The J
-statistic is evaluated with the weighting matrix the final coefficients
-were estimated under; the reported coefficient covariance re-weights with
-the final residuals, which is the convention that reproduces the
-published standard errors.
+covariance of the moment series z_t * e_t (``hac.moment_cov``: classical,
+or the Bartlett-kernel long-run covariance) from the current residuals and
+re-solves the quadratic problem. The J statistic is evaluated with the
+weighting matrix the final coefficients were estimated under; the reported
+coefficient covariance (``hac.coef_cov``) re-weights with the final
+residuals, which is the convention that reproduces the published standard
+errors.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import numpy as np
 
 from . import dist
 from .errors import CollinearityError, ConfigError
-from .hac import HacConfig, default_bandwidth, long_run_cov
+from .hac import HacConfig, coef_cov, moment_cov
 from .ols import (
-    CONST, RegressionSpec, Term, auto_sample, build_design, coerce_terms, summarize, term_columns
+    CONST, Estimate, RegressionSpec, Term, auto_sample, build_design, coerce_terms, inference,
+    summarize, term_columns,
 )
-from .series import Dataset, Quarter
+from .series import Dataset
 
 
 @dataclass(frozen=True)
@@ -51,30 +53,13 @@ class GmmSpec:
 
 
 @dataclass(frozen=True)
-class GmmResult:
+class GmmResult(Estimate):
+    """An instrumented fit: the shared estimate plus the J test."""
+
     spec: GmmSpec
-    labels: tuple[str, ...]
-    coefficients: np.ndarray
-    std_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    covariance: np.ndarray
     j_statistic: float
     j_prob: float
     instrument_rank: int
-    sample: tuple[Quarter, Quarter]
-    n_obs: int
-    n_params: int
-    r2: float
-    adj_r2: float
-    se_regression: float
-    ssr: float
-    durbin_watson: float
-    mean_dep: float
-    sd_dep: float
-
-    def coef(self, label: str) -> float:
-        return self.coefficients[self.labels.index(label)]
 
 
 def _solve_gmm(X, Z, y, W):
@@ -94,20 +79,11 @@ def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     if rank < Z.shape[1]:
         raise CollinearityError("instrument matrix is rank deficient")
 
-    if spec.weighting is None:  # classical: residual variance times Z'Z/T
-        df_adjust = True
-        moment_cov = lambda e: float(e @ e) / T * (Z.T @ Z) / T
-    else:
-        m = spec.weighting.bandwidth or default_bandwidth(T)
-        df_adjust = spec.weighting.df_adjust
-        moment_cov = lambda e: long_run_cov(Z * e[:, None], m)
-
     # step 0: two-stage least squares
     W = np.linalg.inv(Z.T @ Z / T)
     beta = _solve_gmm(X, Z, y, W)
     for _ in range(spec.weight_updates):
-        e = y - X @ beta
-        W = np.linalg.inv(moment_cov(e))
+        W = np.linalg.inv(moment_cov(Z, y - X @ beta, spec.weighting))
         beta = _solve_gmm(X, Z, y, W)
 
     e = y - X @ beta
@@ -115,33 +91,14 @@ def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     j_stat = float(T * gbar @ W @ gbar)
     over_id = Z.shape[1] - k
     j_prob = dist.chi2_sf(max(j_stat, 0.0), over_id) if over_id > 0 else math.nan
-
-    # reported covariance: re-weight with the final residuals
-    W_cov = np.linalg.inv(moment_cov(e))
-    V = np.linalg.inv(X.T @ Z @ W_cov @ Z.T @ X) * T
-    if df_adjust:
-        V *= T / (T - k)
-    V = 0.5 * (V + V.T)
-
-    se = np.sqrt(np.diag(V))
-    t_stats = beta / se
-    p_values = np.array([dist.student_t_sf2(t, T - k) for t in t_stats])
-    stats = summarize(y, X, beta, base.has_constant)
-    stats.pop("residual_vector")
-    stats.pop("log_likelihood")
     return GmmResult(
         spec=spec,
         labels=tuple(t.label for t in base.regressors),
-        coefficients=beta,
-        std_errors=se,
-        t_stats=t_stats,
-        p_values=p_values,
-        covariance=V,
         j_statistic=j_stat,
         j_prob=j_prob,
         instrument_rank=int(rank),
         sample=sample,
-        n_obs=T,
-        n_params=k,
-        **stats,
+        # reported covariance: re-weight with the final residuals
+        **inference(beta, coef_cov(X, Z, e, spec.weighting), T - k),
+        **summarize(y, e, k, base.has_constant),
     )

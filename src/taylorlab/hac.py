@@ -1,4 +1,5 @@
-"""Bartlett-kernel (Newey-West) long-run covariance for robust inference."""
+"""Moment and coefficient covariances for OLS and GMM: classical, or
+Bartlett-kernel (Newey-West) long-run covariance for robust inference."""
 
 from __future__ import annotations
 
@@ -43,6 +44,36 @@ def long_run_cov(u: np.ndarray, m: int) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def moment_cov(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarray:
+    """Covariance S of the moment series z_t * e_t.
+
+    Classical (``cfg`` None): (e'e/T) Z'Z/T. HAC: the Bartlett long-run
+    covariance with ``cfg.bandwidth``, or the sample-size rule when None.
+    """
+    T = Z.shape[0]
+    if cfg is None:
+        return float(e @ e) / T * (Z.T @ Z) / T
+    return long_run_cov(Z * e[:, None], cfg.bandwidth or default_bandwidth(T))
+
+
+def coef_cov(
+    X: np.ndarray, Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None
+) -> np.ndarray:
+    """Coefficient covariance T (X'Z S^-1 Z'X)^-1 with S = moment_cov(Z, e, cfg).
+
+    With Z = X (OLS as GMM with the regressors as their own instruments)
+    this is s^2 (X'X)^-1 for classical and the Newey-West sandwich
+    (X'X)^-1 T S (X'X)^-1 for HAC. The T/(T-k) factor always applies to
+    classical and to HAC when ``cfg.df_adjust`` is set.
+    """
+    T, k = X.shape
+    XZ = X.T @ Z
+    V = T * np.linalg.inv(XZ @ np.linalg.solve(moment_cov(Z, e, cfg), XZ.T))
+    if cfg is None or cfg.df_adjust:
+        V *= T / (T - k)
+    return 0.5 * (V + V.T)
+
+
 def newey_west_cov(
     X: np.ndarray, e: np.ndarray, m: int, df_adjust: bool = True
 ) -> np.ndarray:
@@ -59,10 +90,4 @@ def newey_west_cov(
         )
     if m < 1:
         raise DomainError(f"bandwidth must be >= 1, got {m}")
-    T, k = X.shape
-    S = long_run_cov(X * e[:, None], m)
-    xtx_inv = np.linalg.inv(X.T @ X)
-    V = xtx_inv @ (T * S) @ xtx_inv
-    if df_adjust:
-        V *= T / (T - k)
-    return 0.5 * (V + V.T)
+    return coef_cov(X, X, e, HacConfig(m, df_adjust))

@@ -57,7 +57,10 @@ def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
     Rows must form consecutive quarters with no holes or duplicates.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"CSV is not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dist
 from .errors import CollinearityError, ConfigError, SampleError
-from .hac import HacConfig, default_bandwidth, newey_west_cov
+from .hac import HacConfig, coef_cov
 from .series import Dataset, Quarter, Series, common_span, lag
 
 CONST = "const"
@@ -86,17 +86,15 @@ class RegressionSpec:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Complete estimation output of one least-squares run."""
+class Estimate:
+    """Coefficient table and summary block shared by OLS and GMM results."""
 
-    spec: RegressionSpec
     labels: tuple[str, ...]
     coefficients: np.ndarray
     std_errors: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
     covariance: np.ndarray
-    residuals: Series
     sample: tuple[Quarter, Quarter]
     n_obs: int
     n_params: int
@@ -104,22 +102,30 @@ class FitResult:
     adj_r2: float
     se_regression: float
     ssr: float
+    durbin_watson: float
+    mean_dep: float
+    sd_dep: float
+
+    def coef(self, label: str) -> float:
+        return self.coefficients[self.labels.index(label)]
+
+
+@dataclass(frozen=True)
+class FitResult(Estimate):
+    """Complete estimation output of one least-squares run."""
+
+    spec: RegressionSpec
+    residuals: Series
     log_likelihood: float
     f_statistic: float
     f_prob: float
-    durbin_watson: float
     aic: float
     schwarz: float
     hannan_quinn: float
-    mean_dep: float
-    sd_dep: float
     # design matrix and dependent vector over the adjusted sample; kept for
     # the diagnostic tests' auxiliary regressions
     x_matrix: np.ndarray = field(repr=False, default=None)
     y_vector: np.ndarray = field(repr=False, default=None)
-
-    def coef(self, label: str) -> float:
-        return self.coefficients[self.labels.index(label)]
 
 
 def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
@@ -169,28 +175,39 @@ def build_design(
     return spec.dependent.resolve(d).window(start, end), X, (start, end)
 
 
-def summarize(
-    y: np.ndarray, X: np.ndarray, beta: np.ndarray, has_constant: bool
-) -> dict:
-    """Summary statistics shared by plain and instrumented fits."""
-    T, k = X.shape
-    e = y - X @ beta
+def summarize(y: np.ndarray, e: np.ndarray, k: int, has_constant: bool) -> dict:
+    """Summary block shared by plain and instrumented fits, from the
+    dependent vector, the residuals and the number of parameters."""
+    T = len(y)
     ssr = float(e @ e)
     tss = float(np.sum((y - y.mean()) ** 2)) if has_constant else float(y @ y)
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
-    ll = -T / 2.0 * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / T)) if ssr > 0 else math.inf
     dw = float(np.sum(np.diff(e) ** 2) / ssr) if ssr > 0 else 0.0
     return {
-        "residual_vector": e,
+        "n_obs": T,
+        "n_params": k,
         "ssr": ssr,
         "r2": r2,
         "adj_r2": adj_r2,
         "se_regression": math.sqrt(ssr / (T - k)),
-        "log_likelihood": ll,
         "durbin_watson": dw,
         "mean_dep": float(y.mean()),
         "sd_dep": float(np.std(y, ddof=1)),
+    }
+
+
+def inference(beta: np.ndarray, V: np.ndarray, df: int) -> dict:
+    """Coefficients and covariance with their standard errors, t statistics
+    and two-sided Student-t p-values on ``df`` degrees of freedom."""
+    se = np.sqrt(np.diag(V))
+    t_stats = beta / se
+    return {
+        "coefficients": beta,
+        "covariance": V,
+        "std_errors": se,
+        "t_stats": t_stats,
+        "p_values": np.array([dist.student_t_sf2(t, df) for t in t_stats]),
     }
 
 
@@ -202,40 +219,23 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
         raise SampleError(f"sample of {T} observations cannot identify {k} parameters")
     labels = tuple(t.label for t in spec.regressors)
     beta = solve_ols(X, y, labels)
-    stats = summarize(y, X, beta, spec.has_constant)
-    e = stats.pop("residual_vector")
+    e = y - X @ beta
+    stats = summarize(y, e, k, spec.has_constant)
 
-    if spec.covariance is None:
-        s2 = stats["ssr"] / (T - k)
-        V = s2 * np.linalg.inv(X.T @ X)
-    else:
-        m = spec.covariance.bandwidth or default_bandwidth(T)
-        V = newey_west_cov(X, e, m, spec.covariance.df_adjust)
-
-    se = np.sqrt(np.diag(V))
-    t_stats = beta / se
-    p_values = np.array([dist.student_t_sf2(t, T - k) for t in t_stats])
-
-    r2 = stats["r2"]
+    r2, ssr = stats["r2"], stats["ssr"]
     if spec.has_constant and k > 1 and r2 < 1.0:
         f_stat = (r2 / (k - 1)) / ((1.0 - r2) / (T - k))
         f_prob = dist.f_sf(f_stat, k - 1, T - k)
     else:
         f_stat, f_prob = math.nan, math.nan
 
-    ll = stats["log_likelihood"]
+    ll = -T / 2.0 * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / T)) if ssr > 0 else math.inf
     return FitResult(
         spec=spec,
         labels=labels,
-        coefficients=beta,
-        std_errors=se,
-        t_stats=t_stats,
-        p_values=p_values,
-        covariance=V,
         residuals=Series("resid", sample[0], e),
         sample=sample,
-        n_obs=T,
-        n_params=k,
+        log_likelihood=ll,
         f_statistic=f_stat,
         f_prob=f_prob,
         aic=(-2.0 * ll + 2.0 * k) / T,
@@ -243,5 +243,6 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
         hannan_quinn=(-2.0 * ll + 2.0 * k * math.log(math.log(T))) / T,
         x_matrix=X,
         y_vector=y,
+        **inference(beta, coef_cov(X, X, e, spec.covariance), T - k),
         **stats,
     )

@@ -9,8 +9,7 @@ from importlib import resources
 
 from .diagnostics import TestReport
 from .errors import ConfigError
-from .gmm import GmmResult
-from .ols import FitResult
+from .ols import Estimate, FitResult
 
 
 def _fmt_p(p: float) -> str:
@@ -18,45 +17,66 @@ def _fmt_p(p: float) -> str:
     return "0.0000" if p < 5e-5 else f"{p:.4f}"
 
 
+# The summary block as (field, printed label) rows in print order: shared
+# rows, then the least-squares or the GMM rows. A row without a label is
+# flattened but not printed.
+_SHARED_ROWS = (
+    ("r2", "R-squared"),
+    ("adj_r2", "Adjusted R-squared"),
+    ("se_regression", "S.E. of regression"),
+    ("ssr", "Sum squared resid"),
+    ("durbin_watson", "Durbin-Watson stat"),
+    ("mean_dep", "Mean dependent var"),
+    ("sd_dep", "S.D. dependent var"),
+    ("n_obs", None),
+    ("n_params", None),
+)
+_FIT_ROWS = (
+    ("log_likelihood", "Log likelihood"),
+    ("aic", "Akaike info criterion"),
+    ("schwarz", "Schwarz criterion"),
+    ("hannan_quinn", "Hannan-Quinn criter."),
+    ("f_statistic", "F-statistic"),
+    ("f_prob", "Prob(F-statistic)"),
+)
+_GMM_ROWS = (
+    ("j_statistic", "J-statistic"),
+    ("j_prob", "Prob(J-statistic)"),
+    ("instrument_rank", "Instrument rank"),
+)
+
+
+def _summary_rows(result: Estimate) -> tuple:
+    return _SHARED_ROWS + (_FIT_ROWS if isinstance(result, FitResult) else _GMM_ROWS)
+
+
 def flatten(result) -> dict:
     """Flat label -> value view of a result, used for golden lookups."""
-    if isinstance(result, (FitResult, GmmResult)):
+    if isinstance(result, Estimate):
         out = {}
         for i, lab in enumerate(result.labels):
             out[f"coef:{lab}"] = float(result.coefficients[i])
             out[f"se:{lab}"] = float(result.std_errors[i])
             out[f"t:{lab}"] = float(result.t_stats[i])
             out[f"p:{lab}"] = float(result.p_values[i])
-        for key in (
-            "r2", "adj_r2", "se_regression", "ssr", "durbin_watson",
-            "mean_dep", "sd_dep", "n_obs", "n_params",
-        ):
+        for key, _ in _summary_rows(result):
             out[key] = float(getattr(result, key))
-        if isinstance(result, FitResult):
-            for key in ("log_likelihood", "f_statistic", "f_prob", "aic",
-                        "schwarz", "hannan_quinn"):
-                out[key] = float(getattr(result, key))
-        else:
-            out["j_statistic"] = result.j_statistic
-            out["j_prob"] = result.j_prob
-            out["instrument_rank"] = float(result.instrument_rank)
         return out
     if isinstance(result, TestReport):
         out = {}
         for s in result.statistics:
             out[f"stat:{s.form}"] = s.value
             out[f"p:{s.form}"] = s.p
-        for key, value in getattr(result, "details", ()) or ():
-            out[key] = value
+        out.update(result.details)
         return out
     raise ConfigError(f"cannot flatten object of type {type(result).__name__}")
 
 
 def to_dict(result) -> dict:
     """Full-precision structured view for JSON output."""
-    if isinstance(result, (FitResult, GmmResult)):
+    if isinstance(result, Estimate):
         d = {
-            "kind": "gmm" if isinstance(result, GmmResult) else "fit",
+            "kind": "fit" if isinstance(result, FitResult) else "gmm",
             "sample": [str(result.sample[0]), str(result.sample[1])],
             "labels": list(result.labels),
             "coefficients": [float(v) for v in result.coefficients],
@@ -75,6 +95,7 @@ def to_dict(result) -> dict:
                 {"form": s.form, "value": s.value, "df": list(s.df), "p": s.p}
                 for s in result.statistics
             ],
+            "details": dict(result.details),
         }
     raise ConfigError(f"cannot render object of type {type(result).__name__}")
 
@@ -86,7 +107,7 @@ def render_table(result, fmt: str = "text") -> str:
     if fmt != "text":
         raise ConfigError(f"unknown output format {fmt!r}")
 
-    if isinstance(result, (FitResult, GmmResult)):
+    if isinstance(result, Estimate):
         lines = [
             f"Sample: {result.sample[0]} {result.sample[1]}",
             f"Included observations: {result.n_obs}",
@@ -100,32 +121,9 @@ def render_table(result, fmt: str = "text") -> str:
                 f"{result.t_stats[i]:>14.6f}{_fmt_p(result.p_values[i]):>10}"
             )
         lines.append("")
-        block = [
-            ("R-squared", result.r2),
-            ("Adjusted R-squared", result.adj_r2),
-            ("S.E. of regression", result.se_regression),
-            ("Sum squared resid", result.ssr),
-            ("Durbin-Watson stat", result.durbin_watson),
-            ("Mean dependent var", result.mean_dep),
-            ("S.D. dependent var", result.sd_dep),
-        ]
-        if isinstance(result, FitResult):
-            block += [
-                ("Log likelihood", result.log_likelihood),
-                ("Akaike info criterion", result.aic),
-                ("Schwarz criterion", result.schwarz),
-                ("Hannan-Quinn criter.", result.hannan_quinn),
-                ("F-statistic", result.f_statistic),
-                ("Prob(F-statistic)", result.f_prob),
-            ]
-        else:
-            block += [
-                ("J-statistic", result.j_statistic),
-                ("Prob(J-statistic)", result.j_prob),
-                ("Instrument rank", float(result.instrument_rank)),
-            ]
-        for label, value in block:
-            if math.isnan(value):
+        for key, label in _summary_rows(result):
+            value = float(getattr(result, key))
+            if label is None or math.isnan(value):
                 continue
             text = _fmt_p(value) if label.startswith("Prob") else f"{value:.6f}"
             lines.append(f"{label:<24}{text:>14}")
@@ -137,7 +135,7 @@ def render_table(result, fmt: str = "text") -> str:
         for s in result.statistics:
             df = ",".join(str(v) for v in s.df)
             lines.append(f"{s.form:<12}{s.value:>14.6f}{df:>12}{_fmt_p(s.p):>10}")
-        for key, value in getattr(result, "details", ()) or ():
+        for key, value in result.details:
             lines.append(f"{key:<26}{value:>14.6f}")
         return "\n".join(lines) + "\n"
 

@@ -37,8 +37,8 @@ class TransformConfig:
             raise ConfigError("yoy_lag must be at least 1")
         if self.detrend not in ("linear_trend", "hp_filter"):
             raise ConfigError(f"unknown detrend method {self.detrend!r}")
-        if self.hp_lambda <= 0:
-            raise ConfigError("hp_lambda must be positive")
+        if not 0 < self.hp_lambda < np.inf:
+            raise ConfigError(f"hp_lambda must be finite and positive, got {self.hp_lambda}")
 
 
 def yoy_change(s: Series, k: int = 4) -> Series:
@@ -81,8 +81,8 @@ def _hp_trend(y: np.ndarray, lam: float) -> np.ndarray:
 
 def hp_filter_gap(gdp: Series, lam: float = 1600.0) -> Series:
     """100 * (log GDP - smoothed trend), penalizing the trend's curvature."""
-    if lam <= 0:
-        raise DomainError(f"smoothing parameter must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise DomainError(f"smoothing parameter must be finite and positive, got {lam}")
     if len(gdp) < 4:
         raise SampleError("need at least 4 observations for trend filtering")
     y = natural_log(gdp).values

@@ -135,6 +135,26 @@ class TestFit:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_non_utf8_csv_is_error(self, capsys, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"date,a\n2000-Q1,1.0\xff\n")
+        code, out, err = run_cli(capsys, "fit", "--csv", str(p), "--reg", "a")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_hp_lambda_is_error(self, capsys, lam):
+        code, out, err = run_cli(
+            capsys, "fit", "--country", "us", "--reg", "inflation_gap",
+            "--hp-lambda", lam,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestTest:
     def test_wald_restriction(self, capsys):

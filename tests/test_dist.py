@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,12 @@ class TestChi2Sf:
             dist.chi2_sf(1.0, 0)
         with pytest.raises(DomainError):
             dist.chi2_sf(math.nan, 2)
+
+    def test_unconverged_series_raises(self):
+        # the true value is about 0.4998; the series needs far more terms
+        # than the cap, so the tail raises instead of returning a partial sum
+        with pytest.raises(DomainError, match="did not converge"):
+            dist.chi2_sf(1e6, 1e6)
 
     def test_infinite_statistic_has_no_tail(self):
         # the same edge as the F and t tails
@@ -164,3 +171,15 @@ class TestNormalCdf:
             assert dist.normal_cdf(x) == pytest.approx(
                 scipy.stats.norm.cdf(x), abs=1e-12
             )
+
+
+class TestContinuedFraction:
+    def test_matches_closed_form(self):
+        # 1 + 1/(1 + 1/(1 + ...)) is the golden ratio
+        got = dist._continued_fraction(1.0, itertools.repeat((1.0, 1.0)))
+        assert got == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
+
+    def test_unconverged_fraction_raises(self):
+        # the convergents of 1 - 1/(1 - 1/(1 - ...)) cycle with period three
+        with pytest.raises(DomainError, match="did not converge"):
+            dist._continued_fraction(1.0, itertools.repeat((-1.0, 1.0)))

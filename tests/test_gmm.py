@@ -50,16 +50,24 @@ class TestGmmSpec:
 
 
 class TestJustIdentified:
-    def test_own_instruments_reproduce_ols(self):
+    @pytest.mark.parametrize(
+        "cov", [None, HacConfig()], ids=["classical", "hac"]
+    )
+    def test_own_instruments_reproduce_ols(self, cov):
+        # OLS is GMM with the regressors as their own instruments: the same
+        # coefficients and, under the same covariance choice, the same
+        # covariance matrix.
         rng = np.random.default_rng(41)
         d = _random_iv_dataset(rng)
-        base = RegressionSpec("y", ("const", "x"))
+        base = RegressionSpec("y", ("const", "x"), covariance=cov)
         gmm = fit_linear_gmm(
             d,
-            GmmSpec(base, ("x",), weighting=None, weight_updates=0),
+            GmmSpec(base, ("x",), weighting=cov, weight_updates=0),
         )
         ols = fit_ols(d, base)
         assert np.allclose(gmm.coefficients, ols.coefficients, atol=1e-8)
+        assert np.allclose(gmm.covariance, ols.covariance, rtol=1e-10, atol=0)
+        assert np.allclose(gmm.p_values, ols.p_values, rtol=1e-10, atol=0)
         assert gmm.j_statistic == pytest.approx(0.0, abs=1e-8)
         assert math.isnan(gmm.j_prob)
 

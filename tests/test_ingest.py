@@ -99,6 +99,10 @@ class TestCsvErrors:
         with pytest.raises(IngestError, match="row 3.*'x'"):
             parse_quarterly_csv(text)
 
+    def test_non_utf8_bytes(self):
+        with pytest.raises(IngestError, match="UTF-8"):
+            parse_quarterly_csv(b"date,x\n1990-Q1,1.0\xff\n")
+
     def test_ragged_row(self):
         text = "date,x,y\n1990-Q1,1.0\n"
         with pytest.raises(IngestError, match="expected 3"):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taylorlab.diagnostics import jarque_bera_test
+from taylorlab.diagnostics import jarque_bera_test, wald_test
 from taylorlab.errors import ConfigError
 from taylorlab.ols import fit_ols
 from taylorlab.report import (
@@ -60,6 +60,17 @@ class TestRenderTable:
 
     def test_json_round_trip(self, us_fit):
         assert json.loads(render_table(us_fit, "json")) == to_dict(us_fit)
+
+    def test_json_keeps_test_details(self, us_fit):
+        # the Wald restriction values print in the text; JSON carries them too
+        report = wald_test(us_fit, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.5, 0.5])
+        details = json.loads(render_table(report, "json"))["details"]
+        flat = flatten(report)
+        assert set(details) == {
+            "restriction:1", "restriction_se:1", "restriction:2", "restriction_se:2"
+        }
+        assert details == {k: flat[k] for k in details}
+        assert to_dict(report)["details"] == dict(report.details)
 
     def test_test_report_text(self, us_data):
         rep = jarque_bera_test(fit_ols(us_data, baseline_spec("us")).residuals)

@@ -157,8 +157,9 @@ class TestHpFilterGap:
     def test_nonpositive_lambda_raises(self):
         from taylorlab.errors import DomainError
 
-        with pytest.raises(DomainError):
-            hp_filter_gap(_series([1.0] * 10, "gdp"), 0.0)
+        for lam in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hp_filter_gap(_series([1.0] * 10, "gdp"), lam)
 
 
 class TestBuildTaylorDataset:
@@ -193,6 +194,8 @@ class TestTransformConfig:
             dict(yoy_lag=0),
             dict(detrend="bandpass"),
             dict(hp_lambda=-1.0),
+            dict(hp_lambda=math.nan),
+            dict(hp_lambda=math.inf),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
