@@ -7,6 +7,7 @@ or golden mismatch, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -117,6 +118,8 @@ def _parse_restrictions(text, n_params):
             value = float(value)
         except ValueError:
             raise UsageError(f"malformed restriction {piece!r}; expected bK=value")
+        if not math.isfinite(value):
+            raise UsageError(f"restriction value must be finite, got {piece!r}")
         if not 0 <= idx < n_params:
             raise UsageError(f"restriction index b{idx + 1} out of range")
         row = np.zeros(n_params)

@@ -17,7 +17,6 @@ import re
 import tempfile
 import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -149,6 +148,10 @@ class SourceDescriptor:
 
 
 def _default_http_get(url: str) -> bytes:
+    # imported here: urllib.request pulls in http.client and email, which
+    # every other command would pay for at start-up
+    import urllib.request
+
     with urllib.request.urlopen(url, timeout=30) as resp:
         return resp.read()
 

@@ -5,7 +5,8 @@ The three derived series are built from the raw dataset:
 * inflation_gap: 100 * (log CPI - log CPI four quarters earlier) minus the
   inflation target,
 * output_gap: 100 * (log real GDP minus its estimated trend), with either a
-  linear time trend or a penalized (smoothing) trend,
+  linear time trend or the Hodrick-Prescott trend (the cycle is solved for
+  directly, see ``_hp_cycle``),
 * s: 100 * year-over-year log change of the stock index.
 
 Detrending runs on the full data span; the resulting gap series then takes
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ConfigError, DomainError, SampleError
 from .series import Dataset, Series, lag, natural_log
@@ -64,29 +64,60 @@ def linear_trend_gap(gdp: Series) -> Series:
     return Series("output_gap", gdp.start, 100.0 * (y - X @ beta))
 
 
-def _hp_trend(y: np.ndarray, lam: float) -> np.ndarray:
-    # (I + lam * D'D) tau = y, with D the second-difference operator.
-    # The system matrix is pentadiagonal SPD; solve in banded form.
-    n = len(y)
-    ab = np.zeros((3, n))
-    ab[0, 2:] = lam
-    ab[1, 1:] = -4.0 * lam
-    ab[1, 1] = -2.0 * lam
-    ab[1, -1] = -2.0 * lam
-    ab[2, :] = 6.0 * lam + 1.0
-    ab[2, 0] = ab[2, -1] = lam + 1.0
-    ab[2, 1] = ab[2, -2] = 5.0 * lam + 1.0
-    return solveh_banded(ab, y)
+def _hp_cycle(y: np.ndarray, lam: float) -> np.ndarray:
+    """y minus its Hodrick-Prescott trend, accurate for every finite lam > 0.
+
+    The trend solves (I + lam D'D) tau = y, with D the (n-2) x n
+    second-difference operator. By Woodbury, y - tau = D'w with
+    (DD' + I/lam) w = Dy: DD' is the constant band (1, -4, 6, -4, 1), so the
+    system has n-2 rows and no edge rows. The cycle is never formed as
+    y - tau, which would cancel digits, and the system keeps its conditioning
+    as lam grows: at lam = inf it is DD' itself, and D'(DD')^-1 D projects
+    onto the complement of {1, t}, so the cycle becomes the linear-trend
+    residual instead of losing the identity in I + lam D'D.
+    """
+    b = np.diff(y, 2).tolist()
+    a = 6.0 + 1.0 / lam
+    # LDL' of the band (1, -4, a, -4, 1). L's second subdiagonal is
+    # 1/d[i-2], which leaves l[i] = (-4 - l[i-1]) / d[i-1] on the first and
+    # d[i] = a - l[i] (-4 - l[i-1]) - 1/d[i-2]. Factor and forward-eliminate
+    # in one pass on Python floats, keeping r = 1/d (0 once 1/lam overflows,
+    # giving a zero cycle); rows 0 and 1 are unrolled.
+    m = len(b)
+    L = [0.0] * (m + 1)  # L[i] = l[i]; L[m] = 0 closes the back substitution
+    R = [0.0] * m
+    Z = [0.0] * m
+    R[0] = rpp = 1.0 / a
+    L[1] = lp = -4.0 * rpp
+    R[1] = rp = 1.0 / (a - 16.0 * rpp)
+    Z[0] = zpp = b[0]
+    Z[1] = zp = b[1] - lp * zpp
+    for i in range(2, m):
+        t = -4.0 - lp
+        lp = t * rp
+        zpp, zp = zp, b[i] - lp * zp - rpp * zpp
+        rpp, rp = rp, 1.0 / (a - lp * t - rpp)
+        L[i] = lp
+        R[i] = rp
+        Z[i] = zp
+    # back substitution w[i] = (z[i] - w[i+2]) / d[i] - l[i+1] w[i+1], into a
+    # copy of w padded with two zeros each side, so D'w is one stencil
+    w = [0.0] * (m + 4)
+    wn = wnn = 0.0
+    for i in range(m - 1, -1, -1):
+        wn, wnn = (Z[i] - wnn) * R[i] - L[i + 1] * wn, wn
+        w[i + 2] = wn
+    w = np.array(w)
+    return w[2:] - 2.0 * w[1:-1] + w[:-2]
 
 
 def hp_filter_gap(gdp: Series, lam: float = 1600.0) -> Series:
-    """100 * (log GDP - smoothed trend), penalizing the trend's curvature."""
+    """100 * the Hodrick-Prescott cycle of log GDP (trend curvature penalized by lam)."""
     if not 0 < lam < np.inf:
         raise DomainError(f"smoothing parameter must be finite and positive, got {lam}")
     if len(gdp) < 4:
         raise SampleError("need at least 4 observations for trend filtering")
-    y = natural_log(gdp).values
-    return Series("output_gap", gdp.start, 100.0 * (y - _hp_trend(y, lam)))
+    return Series("output_gap", gdp.start, 100.0 * _hp_cycle(natural_log(gdp).values, lam))
 
 
 def build_taylor_dataset(d: Dataset, cfg: TransformConfig = TransformConfig()) -> Dataset:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taylorlab
 from taylorlab.cli import main
 
 
@@ -155,6 +160,18 @@ class TestFit:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_huge_hp_lambda_gives_linear_trend_gap(self, capsys):
+        def output_gap_coef(*flags):
+            code, out, _ = run_cli(
+                capsys, "fit", "--country", "us",
+                "--reg", "inflation_gap,output_gap", "--format", "json", *flags,
+            )
+            assert code == 0
+            return json.loads(out)["coef:output_gap"]
+
+        hp = output_gap_coef("--hp-lambda", "1e16")
+        assert hp == pytest.approx(output_gap_coef("--detrend", "linear_trend"), abs=1e-8)
+
 
 class TestTest:
     def test_wald_restriction(self, capsys):
@@ -172,6 +189,17 @@ class TestTest:
             capsys, "test", "wald", "--country", "us", "--reg", "inflation_gap"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_wald_non_finite_restriction_is_usage_error(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "test", "wald", "--country", "us", "--reg", "inflation_gap",
+            "--restrict", f"b1={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_chow_breakpoint(self, capsys):
         code, out, _ = run_cli(
@@ -213,3 +241,20 @@ class TestDeterminism:
         _, a, _ = run_cli(capsys, "reproduce", "--country", "us", "1", "-v")
         _, b, _ = run_cli(capsys, "reproduce", "--country", "us", "1", "-v")
         assert a == b
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_and_urllib_request(self):
+        # scipy is a test-only dependency and urllib.request is needed only
+        # for a remote fetch; each would add to every cold start (scipy more
+        # than doubles it)
+        probe = (
+            "import sys, taylorlab.cli; "
+            "print(sorted(m for m in ('scipy', 'urllib.request') if m in sys.modules))"
+        )
+        src = str(Path(taylorlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.strip() == "[]"

@@ -110,6 +110,35 @@ def _dense_hp_gap(logvals, lam):
     return 100.0 * (logvals - trend)
 
 
+def _mp_hp_gap(logvals, lam):
+    """100 * (y - tau) from a 40-digit banded elimination of (I + lam D'D) tau = y."""
+    import mpmath
+
+    n = len(logvals)
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        A = [[mpmath.mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            A[i][i] += 1
+        for i in range(n - 2):
+            for p, cp in ((i, 1), (i + 1, -2), (i + 2, 1)):
+                for q, cq in ((i, 1), (i + 1, -2), (i + 2, 1)):
+                    A[p][q] += lam * cp * cq
+        y = [mpmath.mpf(float(v)) for v in logvals]
+        rhs = list(y)
+        for k in range(n):  # SPD with half-bandwidth 2: no pivoting, no fill
+            for i in range(k + 1, min(k + 3, n)):
+                f = A[i][k] / A[k][k]
+                for j in range(k, min(k + 3, n)):
+                    A[i][j] -= f * A[k][j]
+                rhs[i] -= f * rhs[k]
+        tau = [mpmath.mpf(0)] * n
+        for i in reversed(range(n)):
+            s = rhs[i] - sum(A[i][j] * tau[j] for j in range(i + 1, min(i + 3, n)))
+            tau[i] = s / A[i][i]
+        return np.array([float(100 * (y[i] - tau[i])) for i in range(n)])
+
+
 class TestHpFilterGap:
     def test_linear_log_series_has_zero_gap(self):
         vals = [100.0 * math.exp(0.02 * t) for t in range(30)]
@@ -144,6 +173,29 @@ class TestHpFilterGap:
         hp = hp_filter_gap(_series(vals, "gdp"), 1e12)
         lin = linear_trend_gap(_series(vals, "gdp"))
         assert np.allclose(hp.values, lin.values, atol=0.1)
+
+    @pytest.mark.parametrize("country", ["us", "uk"])
+    def test_matches_40_digit_oracle(self, country):
+        gdp = embedded_dataset(country)["real_gdp"]
+        out = hp_filter_gap(gdp, 1600.0)
+        oracle = _mp_hp_gap(np.log(gdp.values), 1600.0)
+        assert np.max(np.abs(out.values - oracle)) < 1e-11
+
+    # At lam = 1e14 the exact HP gap of US GDP is still 2.9e-8 from the
+    # linear-trend gap (the O(1/lam) term); from 1e16 on, 1/lam is below the
+    # rounding of the band's diagonal and only rounding separates the two.
+    @pytest.mark.parametrize(
+        "lam, tol", [(1e14, 5e-8), (1e16, 1e-9), (1e300, 1e-9)], ids=["1e14", "1e16", "1e300"]
+    )
+    def test_huge_lambda_gives_linear_trend_gap(self, lam, tol):
+        gdp = embedded_dataset("us")["real_gdp"]
+        hp = hp_filter_gap(gdp, lam)
+        assert np.max(np.abs(hp.values - linear_trend_gap(gdp).values)) < tol
+
+    def test_lambda_whose_reciprocal_overflows_gives_zero_gap(self):
+        vals = np.random.default_rng(15).uniform(80, 120, size=20)
+        out = hp_filter_gap(_series(vals, "gdp"), 5e-324)
+        assert out.values.tolist() == [0.0] * 20
 
     def test_residuals_orthogonal_to_linear_functions(self):
         rng = np.random.default_rng(14)
