@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dist
 from .errors import ConfigError, DomainError, SampleError
-from .ols import CONST, FitResult, RegressionSpec, fit_ols, solve_ols
+from .ols import CONST, FitResult, RegressionSpec, fit_ols, log_likelihood, solve_ols
 from .series import Dataset, Quarter, Series
 
 
@@ -38,6 +38,16 @@ class TestReport:
         raise KeyError(f"report {self.name!r} has no {form!r} statistic")
 
 
+def _f(value: float, q: int, df2: int) -> TestStatistic:
+    return TestStatistic("F", value, (q, df2), dist.f_sf(value, q, df2))
+
+
+def _chi2(form: str, value: float, q: int, clamp: bool = False) -> TestStatistic:
+    # clamp: the tail is taken at max(value, 0), for a statistic that is
+    # non-negative in exact arithmetic but can round below zero
+    return TestStatistic(form, value, (q,), dist.chi2_sf(max(value, 0.0) if clamp else value, q))
+
+
 def wald_test(fit: FitResult, R: np.ndarray, r: np.ndarray, null: str = "") -> TestReport:
     """Test the linear restrictions R beta = r against the fit's covariance.
 
@@ -55,7 +65,6 @@ def wald_test(fit: FitResult, R: np.ndarray, r: np.ndarray, null: str = "") -> T
     dev = R @ fit.coefficients - r
     middle = R @ fit.covariance @ R.T
     W = float(dev @ np.linalg.solve(middle, dev))
-    df2 = fit.n_obs - fit.n_params
     details = []
     for i in range(q):
         details.append((f"restriction:{i + 1}", float(dev[i])))
@@ -63,10 +72,7 @@ def wald_test(fit: FitResult, R: np.ndarray, r: np.ndarray, null: str = "") -> T
     return TestReport(
         name="Wald Test",
         null_hypothesis=null or "linear restrictions hold",
-        statistics=(
-            TestStatistic("F", W / q, (q, df2), dist.f_sf(W / q, q, df2)),
-            TestStatistic("chi2", W, (q,), dist.chi2_sf(W, q)),
-        ),
+        statistics=(_f(W / q, q, fit.n_obs - fit.n_params), _chi2("chi2", W, q)),
         details=tuple(details),
     )
 
@@ -75,50 +81,55 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     """Chow test for a structural break at a known quarter.
 
     The pre-break regime ends the quarter before ``break_at``; the second
-    regime starts at ``break_at``. Reports F, the likelihood ratio, and
-    the Wald form k*F.
+    regime starts at ``break_at``. Each regime is solved on its rows of the
+    pooled design. Reports F, the likelihood ratio, and the Wald form k*F.
     """
     pooled = fit_ols(d, spec)
     start, end = pooled.sample
-    k = pooled.n_params
+    T, k = pooled.n_obs, pooled.n_params
     if not (start < break_at <= end):
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
-    try:
-        fit1 = fit_ols(d, replace(spec, sample=(start, break_at.offset(-1))))
-        fit2 = fit_ols(d, replace(spec, sample=(break_at, end)))
-    except SampleError as exc:
-        raise SampleError(f"subsample around {break_at} too small: {exc}") from exc
-    T = pooled.n_obs
-    ssr_p, ssr1, ssr2 = pooled.ssr, fit1.ssr, fit2.ssr
-    F = ((ssr_p - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k))
-    F = max(F, 0.0)
-    lr = 2.0 * (fit1.log_likelihood + fit2.log_likelihood - pooled.log_likelihood)
-    wald = k * F
+    X, y = pooled.x_matrix, pooled.y_vector
+    n1 = break_at - start
+    ssr = []
+    for rows in (slice(None, n1), slice(n1, None)):
+        e = y[rows] - X[rows] @ solve_ols(X[rows], y[rows], pooled.labels)
+        ssr.append(float(e @ e))
+    ssr1, ssr2 = ssr
+    F = max(((pooled.ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
+    lr = 2.0 * (
+        log_likelihood(ssr1, n1) + log_likelihood(ssr2, T - n1) - pooled.log_likelihood
+    )
     return TestReport(
         name=f"Chow Breakpoint Test: {break_at}",
         null_hypothesis="no breaks at specified breakpoints",
         statistics=(
-            TestStatistic("F", F, (k, T - 2 * k), dist.f_sf(F, k, T - 2 * k)),
-            TestStatistic("LR", lr, (k,), dist.chi2_sf(max(lr, 0.0), k)),
-            TestStatistic("chi2", wald, (k,), dist.chi2_sf(wald, k)),
+            _f(F, k, T - 2 * k),
+            _chi2("LR", lr, k, clamp=True),
+            _chi2("chi2", k * F, k),
         ),
     )
 
 
-def _aux_fstat(r2: float, p: int, T: int, k_aux: int) -> TestStatistic:
-    F = (r2 / p) / ((1.0 - r2) / (T - k_aux))
-    return TestStatistic("F", F, (p, T - k_aux), dist.f_sf(F, p, T - k_aux))
+def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, q: int) -> TestReport:
+    """LM test from the auxiliary regression of u on Xa, whose last q columns
+    are under test: F on (q, T - p) for p auxiliary columns, and T*R^2 on q."""
+    T, p = Xa.shape
+    resid = u - Xa @ solve_ols(Xa, u)
+    tss = float(np.sum((u - u.mean()) ** 2))
+    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
+    F = (r2 / q) / ((1.0 - r2) / (T - p))
+    return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
 
 
 def white_test(fit: FitResult) -> TestReport:
     """White heteroskedasticity test with squares and cross-products."""
     X, e = fit.x_matrix, fit.residuals.values
-    T = fit.n_obs
-    nonconst = [i for i, lab in enumerate(fit.labels) if fit.spec.regressors[i].name != CONST]
+    nonconst = [i for i, t in enumerate(fit.spec.regressors) if t.name != CONST]
     if len(nonconst) < 2:
         raise DomainError("White test needs at least two non-constant regressors")
     regs = [X[:, i] for i in nonconst]
-    cols = [np.ones(T)] + regs + [z * z for z in regs]
+    cols = [np.ones(fit.n_obs)] + regs + [z * z for z in regs]
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
     Xa = np.column_stack(cols)
     # drop duplicated columns (e.g. a dummy equal to its own square)
@@ -126,21 +137,8 @@ def white_test(fit: FitResult) -> TestReport:
     for i in range(Xa.shape[1]):
         if all(not np.allclose(Xa[:, i], Xa[:, j]) for j in keep):
             keep.append(i)
-    Xa = Xa[:, keep]
-    p_aux = Xa.shape[1]
-    y_aux = e * e
-    beta = solve_ols(Xa, y_aux)
-    resid = y_aux - Xa @ beta
-    tss = float(np.sum((y_aux - y_aux.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
-    obs_r2 = T * r2
-    return TestReport(
-        name="Heteroskedasticity Test: White",
-        null_hypothesis="homoskedasticity",
-        statistics=(
-            _aux_fstat(r2, p_aux - 1, T, p_aux),
-            TestStatistic("obs_r2", obs_r2, (p_aux - 1,), dist.chi2_sf(obs_r2, p_aux - 1)),
-        ),
+    return _lm_test(
+        "Heteroskedasticity Test: White", "homoskedasticity", Xa[:, keep], e * e, len(keep) - 1
     )
 
 
@@ -152,24 +150,18 @@ def breusch_godfrey_test(fit: FitResult, lags: int = 1) -> TestReport:
     """
     if lags < 1:
         raise ConfigError(f"lag order must be >= 1, got {lags}")
-    X, e = fit.x_matrix, fit.residuals.values
-    T, k = fit.n_obs, fit.n_params
-    if T <= k + lags:
+    e = fit.residuals.values
+    T = fit.n_obs
+    # also guards the lag columns below, which cannot be built for lags > T
+    if T <= fit.n_params + lags:
         raise SampleError(f"sample of {T} too small for {lags} residual lags")
     lagged = [np.concatenate([np.zeros(j), e[:-j]]) for j in range(1, lags + 1)]
-    Xa = np.column_stack([X] + lagged)
-    beta = solve_ols(Xa, e)
-    resid = e - Xa @ beta
-    tss = float(np.sum((e - e.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
-    obs_r2 = T * r2
-    return TestReport(
-        name="Breusch-Godfrey Serial Correlation LM Test",
-        null_hypothesis=f"no serial correlation at up to {lags} lag(s)",
-        statistics=(
-            _aux_fstat(r2, lags, T, k + lags),
-            TestStatistic("obs_r2", obs_r2, (lags,), dist.chi2_sf(obs_r2, lags)),
-        ),
+    return _lm_test(
+        "Breusch-Godfrey Serial Correlation LM Test",
+        f"no serial correlation at up to {lags} lag(s)",
+        np.column_stack([fit.x_matrix] + lagged),
+        e,
+        lags,
     )
 
 
@@ -194,5 +186,5 @@ def jarque_bera_test(residuals: Series) -> TestReport:
     return TestReport(
         name="Jarque-Bera Normality Test",
         null_hypothesis="residuals are normally distributed",
-        statistics=(TestStatistic("jb", jb, (2,), dist.chi2_sf(jb, 2)),),
+        statistics=(_chi2("jb", jb, 2),),
     )

@@ -33,12 +33,13 @@ def long_run_cov(u: np.ndarray, m: int) -> np.ndarray:
     """Bartlett-weighted long-run covariance of a score series.
 
     S = (1/T) [Gamma_0 + sum_{j=1}^{m-1} (1 - j/m) (Gamma_j + Gamma_j')]
-    with Gamma_j = sum_t u_t u_{t-j}'.
+    with Gamma_j = sum_t u_t u_{t-j}', which is zero for j >= T, so the sum
+    stops at min(m, T).
     """
     u = np.asarray(u, dtype=float)
     T = u.shape[0]
     S = u.T @ u / T
-    for j in range(1, m):
+    for j in range(1, min(m, T)):
         gamma = u[j:].T @ u[:-j] / T
         S += (1.0 - j / m) * (gamma + gamma.T)
     return 0.5 * (S + S.T)

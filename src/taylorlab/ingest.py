@@ -9,13 +9,11 @@ raw responses locally; it is never used by the reproduction path.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
 import re
 import tempfile
-import urllib.error
 import urllib.parse
 from dataclasses import dataclass, field
 from importlib import resources
@@ -157,6 +155,8 @@ def _default_http_get(url: str) -> bytes:
 
 
 def _cache_key(base_url: str, series_id: str) -> str:
+    import hashlib  # imported here: only a remote fetch needs it
+
     return hashlib.sha256(f"{base_url}|{series_id}".encode()).hexdigest()[:24]
 
 
@@ -214,7 +214,7 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
         try:
             raw = http_get(url)
             _atomic_write(cache_path, raw)
-        except (urllib.error.URLError, OSError, ConnectionError) as exc:
+        except OSError as exc:  # URLError and ConnectionError included
             if not cache_path.exists():
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
             raw = cache_path.read_bytes()

@@ -75,6 +75,8 @@ class RegressionSpec:
             regs.append(Term(CONST))
         if not regs:
             raise ConfigError("model needs at least one regressor or a constant")
+        if dep in regs:
+            raise ConfigError(f"dependent variable {dep.label} cannot also be a regressor")
         object.__setattr__(self, "dependent", dep)
         object.__setattr__(self, "regressors", tuple(regs))
         if self.covariance is not None and not isinstance(self.covariance, HacConfig):
@@ -123,24 +125,26 @@ class FitResult(Estimate):
     schwarz: float
     hannan_quinn: float
     # design matrix and dependent vector over the adjusted sample; kept for
-    # the diagnostic tests' auxiliary regressions
+    # the Chow regimes and the diagnostic tests' auxiliary regressions
     x_matrix: np.ndarray = field(repr=False, default=None)
     y_vector: np.ndarray = field(repr=False, default=None)
 
 
 def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
-    """Least-squares coefficients via QR with a rank check on diag(R)."""
+    """The package's one least-squares solve, via QR. Needs more rows than
+    columns, and names rank-deficient columns by ``labels`` (else index)."""
+    T, k = X.shape
+    if T <= k:
+        raise SampleError(f"sample of {T} observations cannot identify {k} parameters")
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     tol = 1e-10 * diag.max() if diag.size else 0.0
     bad = np.nonzero(diag <= tol)[0]
     if bad.size:
-        names = (
-            ", ".join(labels[i] for i in bad)
-            if labels is not None
-            else ", ".join(str(i) for i in bad)
+        names = labels or [str(i) for i in range(k)]
+        raise CollinearityError(
+            f"design matrix is rank deficient in columns: {', '.join(names[i] for i in bad)}"
         )
-        raise CollinearityError(f"design matrix is rank deficient in columns: {names}")
     return np.linalg.solve(R, Q.T @ y)
 
 
@@ -211,25 +215,28 @@ def inference(beta: np.ndarray, V: np.ndarray, df: int) -> dict:
     }
 
 
+def log_likelihood(ssr: float, T: int) -> float:
+    """Gaussian log likelihood of a least-squares fit (inf for an exact fit)."""
+    return -T / 2.0 * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / T)) if ssr > 0 else math.inf
+
+
 def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
     """Estimate a spec by least squares over its adjusted sample."""
     y, X, sample = build_design(d, spec)
     T, k = X.shape
-    if T <= k:
-        raise SampleError(f"sample of {T} observations cannot identify {k} parameters")
     labels = tuple(t.label for t in spec.regressors)
     beta = solve_ols(X, y, labels)
     e = y - X @ beta
     stats = summarize(y, e, k, spec.has_constant)
 
-    r2, ssr = stats["r2"], stats["ssr"]
+    r2 = stats["r2"]
     if spec.has_constant and k > 1 and r2 < 1.0:
         f_stat = (r2 / (k - 1)) / ((1.0 - r2) / (T - k))
         f_prob = dist.f_sf(f_stat, k - 1, T - k)
     else:
         f_stat, f_prob = math.nan, math.nan
 
-    ll = -T / 2.0 * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / T)) if ssr > 0 else math.inf
+    ll = log_likelihood(stats["ssr"], T)
     return FitResult(
         spec=spec,
         labels=labels,

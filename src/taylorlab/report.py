@@ -72,6 +72,13 @@ def flatten(result) -> dict:
     raise ConfigError(f"cannot flatten object of type {type(result).__name__}")
 
 
+def _json_number(v: float) -> float | None:
+    # JSON has no NaN or infinity: a value that is undefined (the F statistic
+    # of a fit without a constant, the J tail of a just-identified GMM) or
+    # that overflows a double is null
+    return v if math.isfinite(v) else None
+
+
 def to_dict(result) -> dict:
     """Full-precision structured view for JSON output."""
     if isinstance(result, Estimate):
@@ -84,7 +91,7 @@ def to_dict(result) -> dict:
             "t_stats": [float(v) for v in result.t_stats],
             "p_values": [float(v) for v in result.p_values],
         }
-        d.update(flatten(result))
+        d.update({k: _json_number(v) for k, v in flatten(result).items()})
         return d
     if isinstance(result, TestReport):
         return {
@@ -92,7 +99,8 @@ def to_dict(result) -> dict:
             "name": result.name,
             "null_hypothesis": result.null_hypothesis,
             "statistics": [
-                {"form": s.form, "value": s.value, "df": list(s.df), "p": s.p}
+                {"form": s.form, "value": _json_number(s.value), "df": list(s.df),
+                 "p": _json_number(s.p)}
                 for s in result.statistics
             ],
             "details": dict(result.details),
@@ -103,7 +111,7 @@ def to_dict(result) -> dict:
 def render_table(result, fmt: str = "text") -> str:
     """Render a fit, GMM fit or test report as text or JSON."""
     if fmt == "json":
-        return json.dumps(to_dict(result), sort_keys=True, allow_nan=True)
+        return json.dumps(to_dict(result), sort_keys=True, allow_nan=False)
     if fmt != "text":
         raise ConfigError(f"unknown output format {fmt!r}")
 

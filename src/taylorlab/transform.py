@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, SampleError
+from .ols import solve_ols
 from .series import Dataset, Series, lag, natural_log
 
 
@@ -60,7 +61,7 @@ def linear_trend_gap(gdp: Series) -> Series:
     y = natural_log(gdp).values
     t = np.arange(len(y), dtype=float)
     X = np.column_stack([np.ones_like(t), t])
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    beta = solve_ols(X, y)
     return Series("output_gap", gdp.start, 100.0 * (y - X @ beta))
 
 

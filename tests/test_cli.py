@@ -172,6 +172,27 @@ class TestFit:
         hp = output_gap_coef("--hp-lambda", "1e16")
         assert hp == pytest.approx(output_gap_coef("--detrend", "linear_trend"), abs=1e-8)
 
+    @pytest.mark.parametrize("argv", [
+        ("--country", "us", "--reg", "it,inflation_gap"),
+        ("--country", "uk", "--reg", "it", "--sample", "1995Q1:2000Q4"),
+    ], ids=["us", "uk-short"])
+    def test_dependent_as_regressor_is_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "fit", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dependent variable it") and err.count("\n") == 1
+
+    def test_json_without_constant_is_strict(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fit", "--country", "us", "--reg", "inflation_gap,output_gap",
+            "--no-const", "--format", "json",
+        )
+        assert code == 0
+        assert "NaN" not in out
+        payload = json.loads(out)
+        assert payload["f_statistic"] is None and payload["f_prob"] is None
+        assert payload["r2"] is not None
+
 
 class TestTest:
     def test_wald_restriction(self, capsys):
@@ -231,6 +252,24 @@ class TestTest:
         assert payload["kind"] == "test"
         assert payload["statistics"][0]["p"] == pytest.approx(0.016, abs=3e-3)
 
+    def test_white_sample_too_short_for_auxiliary_regression(self, capsys):
+        code, out, err = run_cli(
+            capsys, "test", "white", "--country", "us", "--reg", "output_gap,s(-1)",
+            "--sample", "2019Q1:2020Q1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_bg_lag_order_beyond_sample(self, capsys):
+        code, out, err = run_cli(
+            capsys, "test", "bg", "--country", "us", "--reg", "inflation_gap",
+            "--lags", "1000",
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_kind(self, capsys):
         code, _, _ = run_cli(capsys, "test", "anova", "--country", "us")
         assert code == 2
@@ -245,12 +284,13 @@ class TestDeterminism:
 
 class TestStartup:
     def test_cli_import_skips_scipy_and_urllib_request(self):
-        # scipy is a test-only dependency and urllib.request is needed only
-        # for a remote fetch; each would add to every cold start (scipy more
-        # than doubles it)
+        # scipy is a test-only dependency and urllib.request, urllib.error and
+        # hashlib are needed only for a remote fetch; each would add to every
+        # cold start (scipy more than doubles it)
+        modules = ("scipy", "urllib.request", "urllib.error", "hashlib")
         probe = (
             "import sys, taylorlab.cli; "
-            "print(sorted(m for m in ('scipy', 'urllib.request') if m in sys.modules))"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))"
         )
         src = str(Path(taylorlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from taylorlab.diagnostics import (
     wald_test,
     white_test,
 )
-from taylorlab.errors import ConfigError, DomainError, SampleError
+from taylorlab.errors import CollinearityError, ConfigError, DomainError, SampleError
 from taylorlab.ols import RegressionSpec, fit_ols
 from taylorlab.series import Dataset, Quarter, Series
 from taylorlab.tables import baseline_spec, hac_spec
@@ -108,6 +110,32 @@ class TestChow:
         with pytest.raises(SampleError):
             chow_breakpoint_test(d, RegressionSpec("y", ("x",)), Quarter(2000, 2))
 
+    @pytest.mark.parametrize("break_at", [Quarter(1995, 1), Quarter(2003, 1), Quarter(2016, 4)])
+    def test_regimes_match_separate_fits(self, us_data, break_at):
+        # each regime solved on its rows of the pooled design equals a full
+        # fit over the regime's own sample
+        spec = baseline_spec("us")
+        pooled = fit_ols(us_data, spec)
+        start, end = pooled.sample
+        fit1 = fit_ols(us_data, replace(spec, sample=(start, break_at.offset(-1))))
+        fit2 = fit_ols(us_data, replace(spec, sample=(break_at, end)))
+        k, T = pooled.n_params, pooled.n_obs
+        F = ((pooled.ssr - fit1.ssr - fit2.ssr) / k) / ((fit1.ssr + fit2.ssr) / (T - 2 * k))
+        lr = 2.0 * (fit1.log_likelihood + fit2.log_likelihood - pooled.log_likelihood)
+        rep = chow_breakpoint_test(us_data, spec, break_at)
+        assert rep.stat("F").value == pytest.approx(F, rel=1e-12)
+        assert rep.stat("LR").value == pytest.approx(lr, rel=1e-12)
+        assert rep.stat("F").df == (k, T - 2 * k)
+        assert rep.stat("LR").df == rep.stat("chi2").df == (k,)
+
+    def test_regime_collinearity_names_column(self):
+        # a dummy that is zero before the break is collinear in regime one
+        rng = np.random.default_rng(65)
+        dummy = np.r_[np.zeros(10), np.ones(10)] + np.r_[np.zeros(10), rng.normal(size=10)]
+        d = _toy_dataset({"y": rng.normal(size=20), "x": rng.normal(size=20), "dummy": dummy})
+        with pytest.raises(CollinearityError, match="dummy"):
+            chow_breakpoint_test(d, RegressionSpec("y", ("x", "dummy")), Quarter(2002, 3))
+
 
 def _aux_obs_r2(Xa, y_aux):
     beta, *_ = np.linalg.lstsq(Xa, y_aux, rcond=None)
@@ -142,6 +170,13 @@ class TestWhite:
         rep = white_test(fit_ols(uk_data, hac_spec()))
         assert rep.stat("F").value == pytest.approx(4.223505, rel=0.015)
         assert rep.stat("obs_r2").value == pytest.approx(30.66894, rel=0.015)
+
+    def test_auxiliary_regression_needs_more_rows_than_columns(self):
+        # five observations cannot identify the six auxiliary columns
+        rng = np.random.default_rng(66)
+        fit = _random_fit(rng, T=5)
+        with pytest.raises(SampleError, match="5 observations cannot identify 6"):
+            white_test(fit)
 
     def test_needs_two_nonconstant_regressors(self):
         rng = np.random.default_rng(59)

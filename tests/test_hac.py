@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taylorlab.errors import ConfigError, DomainError
-from taylorlab.hac import HacConfig, default_bandwidth, newey_west_cov
+from taylorlab.hac import HacConfig, default_bandwidth, long_run_cov, newey_west_cov
 from taylorlab.ols import RegressionSpec, fit_ols
 
 
@@ -26,6 +26,20 @@ def _hc0(X, e):
     S = sum(e[t] ** 2 * np.outer(X[t], X[t]) for t in range(T)) / T
     xtx_inv = np.linalg.inv(X.T @ X)
     return xtx_inv @ (T * S) @ xtx_inv
+
+
+class TestLongRunCov:
+    def test_bandwidth_beyond_sample_stops_at_last_lag(self):
+        # autocovariances vanish for j >= T, so a bandwidth of 1e9 costs T
+        # terms and equals the explicit Bartlett sum over j < T
+        rng = np.random.default_rng(33)
+        T, m = 25, 10**9
+        u = rng.normal(size=(T, 2))
+        S = u.T @ u
+        for j in range(1, T):
+            G = u[j:].T @ u[:-j]
+            S = S + (1.0 - j / m) * (G + G.T)
+        assert np.allclose(long_run_cov(u, m), S / T, rtol=1e-13, atol=1e-15)
 
 
 class TestNeweyWestCov:

@@ -5,7 +5,7 @@ import pytest
 
 from taylorlab.errors import CollinearityError, ConfigError, SampleError
 from taylorlab.hac import HacConfig
-from taylorlab.ols import RegressionSpec, Term, fit_ols
+from taylorlab.ols import RegressionSpec, Term, fit_ols, solve_ols
 from taylorlab.series import Dataset, Quarter, Series
 
 
@@ -35,6 +35,35 @@ class TestTermParsing:
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ConfigError):
             RegressionSpec("y", ("x", "x"))
+
+    def test_dependent_as_regressor_rejected(self):
+        with pytest.raises(ConfigError, match="dependent variable y"):
+            RegressionSpec("y", ("x", "y"))
+
+    def test_lagged_dependent_is_a_regressor(self):
+        spec = RegressionSpec("y", ("y(-1)", "x"))
+        assert spec.regressors[0] == Term("y", 1)
+
+
+class TestSolveOls:
+    def test_matches_normal_equations(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(30, 4))
+        y = rng.normal(size=30)
+        expected = np.linalg.solve(X.T @ X, X.T @ y)
+        assert np.allclose(solve_ols(X, y), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("T", [2, 3])
+    def test_needs_more_rows_than_columns(self, T):
+        X = np.column_stack([np.ones(T), np.arange(T), np.arange(T) ** 2.0])
+        with pytest.raises(SampleError, match=f"{T} observations cannot identify 3"):
+            solve_ols(X, np.ones(T))
+
+    def test_rank_deficiency_names_label(self):
+        x = np.arange(1.0, 11.0)
+        X = np.column_stack([np.ones(10), x, 2 * x])
+        with pytest.raises(CollinearityError, match="double"):
+            solve_ols(X, x, ("C", "x", "double"))
 
 
 class TestFitOls:

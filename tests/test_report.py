@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from taylorlab.diagnostics import jarque_bera_test, wald_test
 from taylorlab.errors import ConfigError
-from taylorlab.ols import fit_ols
+from taylorlab.gmm import GmmSpec, fit_linear_gmm
+from taylorlab.ols import RegressionSpec, fit_ols
 from taylorlab.report import (
     GoldenCell,
     GoldenTable,
@@ -21,6 +23,10 @@ from taylorlab.tables import baseline_spec, run_table
 @pytest.fixture(scope="module")
 def us_fit(us_data):
     return fit_ols(us_data, baseline_spec("us"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestFlatten:
@@ -71,6 +77,25 @@ class TestRenderTable:
         }
         assert details == {k: flat[k] for k in details}
         assert to_dict(report)["details"] == dict(report.details)
+
+    def test_json_undefined_values_are_null(self, us_data):
+        # no F statistic without a constant, no J tail when just identified
+        no_const = fit_ols(us_data, RegressionSpec("it", ("inflation_gap", "output_gap"),
+                                                   include_constant=False))
+        gmm = fit_linear_gmm(
+            us_data, GmmSpec(RegressionSpec("it", ("inflation_gap",)), ("inflation_gap(-1)",))
+        )
+        for result, keys in ((no_const, ("f_statistic", "f_prob")), (gmm, ("j_prob",))):
+            text = render_table(result, "json")
+            payload = json.loads(text, parse_constant=_reject_constant)
+            assert all(payload[k] is None for k in keys)
+            assert payload == to_dict(result)
+            assert np.isnan([flatten(result)[k] for k in keys]).all()
+
+    def test_json_refuses_a_stray_nan(self, us_fit, monkeypatch):
+        monkeypatch.setattr("taylorlab.report.to_dict", lambda r: {"x": float("nan")})
+        with pytest.raises(ValueError):
+            render_table(us_fit, "json")
 
     def test_test_report_text(self, us_data):
         rep = jarque_bera_test(fit_ols(us_data, baseline_spec("us")).residuals)

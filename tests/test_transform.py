@@ -96,6 +96,14 @@ class TestLinearTrendGap:
         assert abs(gaps.sum()) < 1e-9 * np.abs(gaps).sum()
         assert abs(gaps @ t) < 1e-8 * np.abs(gaps).sum() * len(gaps)
 
+    def test_matches_lstsq_on_us_gdp(self):
+        gdp = embedded_dataset("us")["real_gdp"]
+        y = np.log(gdp.values)
+        X = np.column_stack([np.ones(len(y)), np.arange(len(y), dtype=float)])
+        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+        got = linear_trend_gap(gdp).values
+        assert np.max(np.abs(got - 100.0 * (y - X @ beta))) < 1e-11
+
     def test_too_short_raises(self):
         with pytest.raises(SampleError):
             linear_trend_gap(_series([1.0, 2.0], "gdp"))
