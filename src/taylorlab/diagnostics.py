@@ -64,7 +64,11 @@ def wald_test(fit: FitResult, R: np.ndarray, r: np.ndarray, null: str = "") -> T
         raise DomainError("restriction matrix is rank deficient")
     dev = R @ fit.coefficients - r
     middle = R @ fit.covariance @ R.T
-    W = float(dev @ np.linalg.solve(middle, dev))
+    # W overflows for a huge restriction value: raise below, do not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = float(dev @ np.linalg.solve(middle, dev))
+    if not math.isfinite(W):
+        raise DomainError(f"Wald statistic is not finite ({W}); restriction values too large")
     details = []
     for i in range(q):
         details.append((f"restriction:{i + 1}", float(dev[i])))
@@ -122,6 +126,18 @@ def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, q: int) -> Tes
     return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
 
 
+def _distinct_columns(Xa: np.ndarray) -> list[int]:
+    """Greedy keep set: column i is dropped when ``np.allclose(Xa[:, i],
+    Xa[:, j])`` holds for a kept j, that is |a_i - a_j| <= 1e-8 + 1e-5 |a_j|
+    on every row. Each column is compared with all kept ones at once."""
+    keep: list[int] = []
+    for i in range(Xa.shape[1]):
+        K = Xa[:, keep]
+        if not (np.abs(Xa[:, [i]] - K) <= 1e-8 + 1e-5 * np.abs(K)).all(axis=0).any():
+            keep.append(i)
+    return keep
+
+
 def white_test(fit: FitResult) -> TestReport:
     """White heteroskedasticity test with squares and cross-products."""
     X, e = fit.x_matrix, fit.residuals.values
@@ -133,10 +149,7 @@ def white_test(fit: FitResult) -> TestReport:
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
     Xa = np.column_stack(cols)
     # drop duplicated columns (e.g. a dummy equal to its own square)
-    keep = []
-    for i in range(Xa.shape[1]):
-        if all(not np.allclose(Xa[:, i], Xa[:, j]) for j in keep):
-            keep.append(i)
+    keep = _distinct_columns(Xa)
     return _lm_test(
         "Heteroskedasticity Test: White", "homoskedasticity", Xa[:, keep], e * e, len(keep) - 1
     )

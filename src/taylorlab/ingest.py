@@ -112,7 +112,7 @@ def embedded_dataset(country: str) -> Dataset:
     country = country.lower()
     if country not in ("us", "uk"):
         raise ConfigError(f"no embedded dataset for country {country!r}")
-    text = resources.files("taylorlab.data").joinpath(f"{country}.csv").read_text()
+    text = (resources.files("taylorlab") / "data" / f"{country}.csv").read_text()
     d = parse_quarterly_csv(text, country)
     d.require_core()
     return d

@@ -25,6 +25,10 @@ class Term:
     name: str
     lag: int = 0
 
+    def __post_init__(self):
+        if self.name == CONST and self.lag:
+            raise ConfigError(f"the constant takes no lag: {self.name}(-{self.lag})")
+
     @classmethod
     def parse(cls, text: str) -> "Term":
         m = _TERM_RE.match(text.strip())

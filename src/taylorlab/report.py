@@ -190,7 +190,7 @@ class GoldenDiff:
 
 def load_golden(table_id: int) -> GoldenTable:
     """Load a shipped golden table by id (1..17)."""
-    path = resources.files("taylorlab.golden").joinpath(f"table{table_id:02d}.json")
+    path = resources.files("taylorlab") / "golden" / f"table{table_id:02d}.json"
     try:
         payload = json.loads(path.read_text())
     except FileNotFoundError:

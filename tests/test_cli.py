@@ -182,6 +182,12 @@ class TestFit:
         assert out == ""
         assert err.startswith("error: dependent variable it") and err.count("\n") == 1
 
+    def test_lagged_constant_is_error(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--country", "us", "--reg", "const(-1)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the constant takes no lag") and err.count("\n") == 1
+
     def test_json_without_constant_is_strict(self, capsys):
         code, out, _ = run_cli(
             capsys, "fit", "--country", "us", "--reg", "inflation_gap,output_gap",
@@ -221,6 +227,15 @@ class TestTest:
         assert out == ""
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_wald_overflow_is_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "test", "wald", "--country", "us", "--reg", "s,output_gap",
+            "--restrict", "b2=1e300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Wald statistic is not finite") and err.count("\n") == 1
 
     def test_chow_breakpoint(self, capsys):
         code, out, _ = run_cli(

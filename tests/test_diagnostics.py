@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from taylorlab import dist
 from taylorlab.diagnostics import (
+    _distinct_columns,
     breusch_godfrey_test,
     chow_breakpoint_test,
     jarque_bera_test,
@@ -61,6 +63,14 @@ class TestWald:
         fit = _random_fit(np.random.default_rng(55))
         with pytest.raises(DomainError):
             wald_test(fit, np.eye(5), np.zeros(5))
+
+    def test_overflowing_statistic_rejected(self):
+        fit = _random_fit(np.random.default_rng(56))
+        R = np.array([[0.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(DomainError, match="not finite"):
+                wald_test(fit, R, np.array([1e300]))
 
     def test_uk_equal_weights_restriction(self, uk_data):
         fit = fit_ols(uk_data, baseline_spec("uk"))
@@ -144,6 +154,16 @@ def _aux_obs_r2(Xa, y_aux):
     return len(y_aux) * (1.0 - resid @ resid / tss)
 
 
+def _allclose_keep(Xa):
+    """White's column dedupe as first written, one np.allclose per pair of
+    columns: the reference for ``_distinct_columns``."""
+    keep = []
+    for i in range(Xa.shape[1]):
+        if all(not np.allclose(Xa[:, i], Xa[:, j]) for j in keep):
+            keep.append(i)
+    return keep
+
+
 class TestWhite:
     def test_matches_brute_force_aux_regression(self):
         rng = np.random.default_rng(58)
@@ -158,6 +178,70 @@ class TestWhite:
             _aux_obs_r2(Xa, e * e), rel=1e-10
         )
         assert rep.stat("obs_r2").df == (5,)
+
+    def test_dummy_square_is_dropped(self):
+        rng = np.random.default_rng(67)
+        T = 60
+        x, dummy = rng.normal(size=T), (rng.random(T) < 0.4).astype(float)
+        d = _toy_dataset({"y": x + dummy + rng.normal(size=T), "x": x, "d": dummy})
+        fit = fit_ols(d, RegressionSpec("y", ("x", "d")))
+        rep = white_test(fit)
+        e = np.asarray(fit.residuals.values)
+        # d * d equals d, so the auxiliary regression has no d**2 column
+        Xa = np.column_stack([np.ones(T), x, dummy, x * x, x * dummy])
+        assert rep.stat("obs_r2").df == (4,)
+        assert rep.stat("F").df == (4, T - 5)
+        assert rep.stat("obs_r2").value == pytest.approx(_aux_obs_r2(Xa, e * e), rel=1e-10)
+
+    @pytest.mark.parametrize("eps,df", [(5e-6, 4), (5e-5, 5)], ids=["inside-rtol", "outside-rtol"])
+    def test_near_duplicate_column(self, eps, df):
+        # x2 is x1**2 scaled row by row by 1 + eps*u, u in [0.5, 1] (a common
+        # factor would make the kept pair exactly collinear): the auxiliary
+        # x1**2 column is dropped as a duplicate of x2 only when eps is
+        # within np.allclose's rtol of 1e-5
+        rng = np.random.default_rng(68)
+        T = 60
+        x1 = rng.normal(size=T)
+        x2 = x1 * x1 * (1.0 + eps * rng.uniform(0.5, 1.0, size=T))
+        d = _toy_dataset({"y": x1 + rng.normal(size=T), "x1": x1, "x2": x2})
+        fit = fit_ols(d, RegressionSpec("y", ("x1", "x2")))
+        rep = white_test(fit)
+        e = np.asarray(fit.residuals.values)
+        cols = [np.ones(T), x1, x2] + ([] if df == 4 else [x1 * x1]) + [x2 * x2, x1 * x2]
+        assert rep.stat("obs_r2").df == (df,)
+        assert rep.stat("obs_r2").value == pytest.approx(
+            _aux_obs_r2(np.column_stack(cols), e * e), rel=1e-8
+        )
+
+    def test_keep_set_matches_allclose_loop(self):
+        rng = np.random.default_rng(69)
+        scales = (1.0, -1.0, 1 + 1e-6, 1 + 5e-6, 1 + 9.99e-6, 1 + 1e-5, 1 - 1e-5,
+                  1 + 1.001e-5, 1 + 5e-5)
+        shifts = (0.0, 5e-9, 1e-8, 2e-8)
+        dropped = 0
+        for _ in range(300):
+            T, p = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+            # column scales from 1e-9 (within atol of zero) to 1e2
+            cols = list(rng.normal(size=(p, T)) * 10.0 ** rng.integers(-9, 3, size=(p, 1)))
+            for _ in range(int(rng.integers(0, 7))):
+                src = cols[int(rng.integers(len(cols)))]
+                kind = int(rng.integers(4))
+                if kind == 0:
+                    new = [src * rng.choice(scales)]
+                elif kind == 1:
+                    new = [src + rng.choice(shifts)]
+                elif kind == 2:
+                    dummy = (src > 0).astype(float)
+                    new = [dummy, dummy * dummy]
+                else:
+                    new = [np.zeros(T)]
+                for c in new:
+                    cols.insert(int(rng.integers(len(cols) + 1)), c)
+            Xa = np.column_stack(cols)
+            keep = _distinct_columns(Xa)
+            assert keep == _allclose_keep(Xa)
+            dropped += Xa.shape[1] - len(keep)
+        assert dropped > 100
 
     def test_us_published_values(self, us_data):
         rep = white_test(fit_ols(us_data, hac_spec()))

@@ -32,6 +32,11 @@ class TestTermParsing:
         with pytest.raises(ConfigError):
             Term.parse("s(+1)")
 
+    def test_lagged_constant_rejected(self):
+        with pytest.raises(ConfigError, match="constant takes no lag"):
+            Term.parse("const(-1)")
+        assert Term.parse("const(-0)") == Term("const", 0)
+
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ConfigError):
             RegressionSpec("y", ("x", "x"))
