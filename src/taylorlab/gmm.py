@@ -48,6 +48,11 @@ class GmmSpec:
             )
         if self.weighting is not None and not isinstance(self.weighting, HacConfig):
             raise ConfigError(f"unknown weighting {self.weighting!r}")
+        if self.base.covariance is not None and self.base.covariance != self.weighting:
+            raise ConfigError(
+                f"GMM covariance comes from weighting={self.weighting!r}; "
+                f"base covariance {self.base.covariance!r} differs"
+            )
         if self.weight_updates < 0:
             raise ConfigError("weight_updates must be non-negative")
 

@@ -1,9 +1,10 @@
-"""Data acquisition: embedded datasets, quarterly CSV parsing, remote fetch.
+"""Data acquisition: embedded datasets, quarterly CSV parsing, FRED fetch.
 
 The embedded US/UK datasets are the quarterly panels the analysis is built
 on (1990Q1-2020Q1, 121 observations each), shipped as CSV package data.
-The remote fetcher speaks a FRED-style JSON observations API and caches
-raw responses locally; it is never used by the reproduction path.
+The fetcher speaks FRED's JSON observations API and caches raw responses
+locally; the reproduction path never uses it. CSV rows and FRED
+observations share one decoder and so one set of date and contiguity rules.
 """
 
 from __future__ import annotations
@@ -20,38 +21,71 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, FetchError, IngestError
-from .series import CORE_SERIES, Dataset, Quarter, Series
+from .series import _QUARTER_RE, CORE_SERIES, Dataset, Quarter, Series
 
-_MDY_RE = re.compile(r"^(\d{1,2})/(\d{1,2})/(\d{2})$")
-_ISO_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})$")
+_ISO_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])-\d{2}$")
 
 
-def parse_quarter_token(token: str) -> Quarter:
-    """Accept YYYY-QN, YYYY-MM-DD (first month of a quarter) or M/D/YY."""
+def _quarter_index(token: str) -> int | None:
+    """``Quarter.index`` of a date token, or None if it is not a date."""
     token = token.strip()
     m = _ISO_RE.match(token)
     if m:
-        year, month = int(m.group(1)), int(m.group(2))
-        if not 1 <= month <= 12:
-            raise IngestError(f"cannot parse date token {token!r}")
-        return Quarter(year, (month - 1) // 3 + 1)
-    m = _MDY_RE.match(token)
-    if m:
-        month, yy = int(m.group(1)), int(m.group(3))
-        if not 1 <= month <= 12:
-            raise IngestError(f"cannot parse date token {token!r}")
-        year = 1900 + yy if yy >= 50 else 2000 + yy
-        return Quarter(year, (month - 1) // 3 + 1)
-    try:
-        return Quarter.parse(token)
-    except Exception:
-        raise IngestError(f"cannot parse date token {token!r}") from None
+        return int(m.group(1)) * 4 + (int(m.group(2)) - 1) // 3
+    m = _QUARTER_RE.match(token)
+    return int(m.group(1)) * 4 + int(m.group(2)) - 1 if m else None
+
+
+def _quarter(index: int) -> Quarter:
+    return Quarter(index // 4, index % 4 + 1)
+
+
+def parse_quarter_token(token: str) -> Quarter:
+    """Accept the forms of ``Quarter.parse``, or YYYY-MM-DD for the quarter of month MM."""
+    index = _quarter_index(token)
+    if index is None:
+        raise IngestError(f"cannot parse date token {token!r}")
+    return _quarter(index)
+
+
+def _decode(rows, names: list[str], source: str) -> dict[str, Series]:
+    """Series ``names`` from (row number, date token, cells) rows.
+
+    The rows must be consecutive quarters, each with one cell per name.
+    Errors name the row as "<source>, row <n>".
+    """
+    columns = [[] for _ in names]
+    prev = None
+    for n, token, cells in rows:
+        if len(cells) != len(names):
+            raise IngestError(
+                f"{source}, row {n}: expected {len(names) + 1} cells, got {len(cells) + 1}"
+            )
+        index = _quarter_index(token)
+        if index is None:
+            raise IngestError(f"{source}, row {n}: cannot parse date token {token!r}")
+        if prev is not None and index != prev + 1:
+            problem = "duplicate quarter" if index == prev else "not consecutive (gap or order) at"
+            raise IngestError(f"{source}, row {n}: {problem} {_quarter(index)}")
+        prev = index
+        for col, cell in enumerate(cells):
+            try:
+                columns[col].append(float(cell))
+            except (TypeError, ValueError):
+                raise IngestError(
+                    f"{source}, row {n}, column {names[col]!r}: unparsable cell {cell!r}"
+                ) from None
+    if prev is None:
+        raise IngestError(f"{source} holds no observations")
+    start = _quarter(prev + 1 - len(columns[0]))  # the rows are consecutive quarters
+    return {name: Series(name, start, col) for name, col in zip(names, columns)}
 
 
 def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
     """Parse a quarterly CSV with a date column and one column per series.
 
-    Rows must form consecutive quarters with no holes or duplicates.
+    Column names must be distinct and non-blank. Blank lines are skipped;
+    the other rows must be consecutive quarters, with no gap or duplicate.
     """
     if isinstance(text, bytes):
         try:
@@ -59,52 +93,18 @@ def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
         except UnicodeDecodeError as exc:
             raise IngestError(f"CSV is not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty CSV: header row missing") from None
+    header = next(reader, None)
+    if header is None:
+        raise IngestError("empty CSV: header row missing")
     if len(header) < 2:
         raise IngestError("CSV needs a date column and at least one value column")
     names = [h.strip() for h in header[1:]]
-    quarters: list[Quarter] = []
-    columns: list[list[float]] = [[] for _ in names]
-    for rownum, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise IngestError(f"row {rownum}: expected {len(header)} cells, got {len(row)}")
-        q = parse_quarter_token(row[0])
-        if quarters:
-            expected = quarters[-1].offset(1)
-            if q == quarters[-1]:
-                raise IngestError(f"row {rownum}: duplicate quarter {q}")
-            if q != expected:
-                raise IngestError(f"row {rownum}: gap in quarters, expected {expected} got {q}")
-        quarters.append(q)
-        for col, cell in enumerate(row[1:]):
-            try:
-                columns[col].append(float(cell))
-            except ValueError:
-                raise IngestError(
-                    f"row {rownum}, column {names[col]!r}: unparsable cell {cell!r}"
-                ) from None
-    if not quarters:
-        raise IngestError("CSV holds no observation rows")
-    series = {
-        name: Series(name, quarters[0], col) for name, col in zip(names, columns)
-    }
-    return Dataset(country or "unnamed", series)
-
-
-def export_quarterly_csv(d: Dataset, names: list[str] | None = None) -> str:
-    """Inverse of parse_quarterly_csv over the dataset's common span."""
-    names = names or sorted(d.series)
-    start, end = d.span
-    lines = ["date," + ",".join(names)]
-    for k in range(end - start + 1):
-        q = start.offset(k)
-        lines.append(f"{q.year}-Q{q.q}," + ",".join(repr(d[n].at(q)) for n in names))
-    return "\n".join(lines) + "\n"
+    for k, name in enumerate(names):
+        if not name or name in names[:k]:
+            raise IngestError(f"CSV header: column {k + 2} name {name!r} is blank or repeated")
+    rows = ((n, row[0], row[1:]) for n, row in enumerate(reader, start=2)
+            if any(cell.strip() for cell in row))
+    return Dataset(country or "unnamed", _decode(rows, names, "CSV"))
 
 
 def embedded_dataset(country: str) -> Dataset:
@@ -121,28 +121,27 @@ def embedded_dataset(country: str) -> Dataset:
 @dataclass(frozen=True)
 class RemoteConfig:
     base_url: str = "https://api.stlouisfed.org/fred/series/observations"
-    api_key_param: str = "api_key"
     api_key_env: str = "FRED_API_KEY"
 
 
 @dataclass(frozen=True)
 class SourceDescriptor:
-    kind: str  # embedded | csv_path | remote
+    """A FRED source for ``fetch_series``: the four core series ids and a cache."""
+
+    kind: str  # "remote", the only source kind; kept first for positional callers
     country: str
     series_ids: dict[str, str] = field(default_factory=dict)
     cache_dir: str | Path = ""
-    csv_path: str | Path = ""
     remote: RemoteConfig = RemoteConfig()
 
     def __post_init__(self):
-        if self.kind not in ("embedded", "csv_path", "remote"):
+        if self.kind != "remote":
             raise ConfigError(f"unknown source kind {self.kind!r}")
-        if self.kind == "remote":
-            missing = [r for r in CORE_SERIES if r not in self.series_ids]
-            if missing:
-                raise ConfigError(f"remote source needs ids for: {', '.join(missing)}")
-            if not self.cache_dir:
-                raise ConfigError("remote source needs a cache_dir")
+        missing = [r for r in CORE_SERIES if r not in self.series_ids]
+        if missing:
+            raise ConfigError(f"remote source needs ids for: {', '.join(missing)}")
+        if not self.cache_dir:
+            raise ConfigError("remote source needs a cache_dir")
 
 
 def _default_http_get(url: str) -> bytes:
@@ -161,64 +160,62 @@ def _cache_key(base_url: str, series_id: str) -> str:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Replace ``path`` with ``data``; on failure no temporary file is left."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        raise FetchError(f"cannot write cache file {path}: {exc}") from exc
 
 
 def _decode_observations(name: str, raw: bytes) -> Series:
+    """One series from a FRED payload, whose dates come in ascending order."""
     try:
-        payload = json.loads(raw)
-        obs = payload["observations"]
-        pairs = [(parse_quarter_token(o["date"]), float(o["value"])) for o in obs]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        obs = json.loads(raw)["observations"]
+        rows = [(n, str(o["date"]), (o["value"],)) for n, o in enumerate(obs, start=1)]
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise IngestError(f"series {name!r}: cannot decode observations payload: {exc}") from exc
-    if not pairs:
-        raise IngestError(f"series {name!r}: empty observations array")
-    pairs.sort(key=lambda p: p[0])
-    for (qa, _), (qb, _) in zip(pairs, pairs[1:]):
-        if qb != qa.offset(1):
-            raise IngestError(f"series {name!r}: observations are not consecutive quarters")
-    return Series(name, pairs[0][0], [v for _, v in pairs])
+    return _decode(rows, [name], f"series {name!r}")[name]
 
 
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
-    """Build a dataset per its source descriptor.
+    """Fetch the four core series of a FRED source.
 
-    Remote fetches hit ``base_url`` once per series id, write the raw
-    response to the cache directory, and fall back to the cached copy on
-    any network failure. ``http_get`` may be injected for testing.
+    Each series id is requested once from ``base_url`` and the raw response
+    is written to the cache directory. Only when the request fails with an
+    ``OSError`` (``URLError`` included) is the cached copy read instead. A
+    cache that cannot be created, written or read raises ``FetchError``
+    naming the path. ``http_get`` may be injected for testing.
     """
-    if desc.kind == "embedded":
-        return embedded_dataset(desc.country)
-    if desc.kind == "csv_path":
-        return parse_quarterly_csv(Path(desc.csv_path).read_bytes(), desc.country)
-
     api_key = os.environ.get(desc.remote.api_key_env, "")
     if not api_key:
-        raise ConfigError(
-            f"remote source needs an API key in ${desc.remote.api_key_env}"
-        )
+        raise ConfigError(f"remote source needs an API key in ${desc.remote.api_key_env}")
     http_get = http_get or _default_http_get
     cache_dir = Path(desc.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise FetchError(f"cannot create cache directory {cache_dir}: {exc}") from exc
     series = {}
     for role in CORE_SERIES:
         sid = desc.series_ids[role]
-        query = urllib.parse.urlencode(
-            {"series_id": sid, desc.remote.api_key_param: api_key, "file_type": "json"}
-        )
-        url = f"{desc.remote.base_url}?{query}"
+        query = urllib.parse.urlencode({"series_id": sid, "api_key": api_key, "file_type": "json"})
         cache_path = cache_dir / f"{_cache_key(desc.remote.base_url, sid)}.json"
         try:
-            raw = http_get(url)
-            _atomic_write(cache_path, raw)
+            raw = http_get(f"{desc.remote.base_url}?{query}")
         except OSError as exc:  # URLError and ConnectionError included
-            if not cache_path.exists():
+            try:
+                raw = cache_path.read_bytes()
+            except FileNotFoundError:
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
-            raw = cache_path.read_bytes()
+            except OSError as err:
+                raise FetchError(f"cannot read cached copy {cache_path}: {err}") from err
+        else:
+            _atomic_write(cache_path, raw)
         series[role] = _decode_observations(role, raw)
-    d = Dataset(desc.country, series)
-    d.require_core()
-    return d
+    return Dataset(desc.country, series)

@@ -115,10 +115,8 @@ class TestFit:
         assert code == 2
 
     def test_csv_input(self, capsys, tmp_path):
-        from taylorlab.ingest import embedded_dataset, export_quarterly_csv
-
         p = tmp_path / "us.csv"
-        p.write_text(export_quarterly_csv(embedded_dataset("us")))
+        p.write_bytes((Path(taylorlab.__file__).parent / "data" / "us.csv").read_bytes())
         code, out, _ = run_cli(
             capsys, "fit", "--csv", str(p),
             "--reg", "inflation_gap,output_gap,const", "--no-const",
@@ -148,6 +146,20 @@ class TestFit:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_duplicate_csv_column_is_error(self, capsys, tmp_path):
+        lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
+        p = tmp_path / "dup.csv"
+        p.write_text(
+            "\n".join([lines[0] + ",interest_rate"] + [line + ",1.0" for line in lines[1:]])
+        )
+        code, out, err = run_cli(
+            capsys, "fit", "--csv", str(p), "--reg", "inflation_gap,output_gap",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'interest_rate'" in err
 
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_non_finite_hp_lambda_is_error(self, capsys, lam):

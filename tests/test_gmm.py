@@ -48,6 +48,16 @@ class TestGmmSpec:
         with pytest.raises(ConfigError):
             GmmSpec(RegressionSpec("y", ("x",)), ("z1", "z2"), weighting="iid")
 
+    @pytest.mark.parametrize(
+        "covariance,weighting",
+        [(HacConfig(bandwidth=2), HacConfig()), (HacConfig(), None)],
+        ids=["other-bandwidth", "classical-weighting"],
+    )
+    def test_base_covariance_other_than_weighting_rejected(self, covariance, weighting):
+        base = RegressionSpec("y", ("x",), covariance=covariance)
+        with pytest.raises(ConfigError, match="weighting"):
+            GmmSpec(base, ("z1", "z2"), weighting=weighting)
+
 
 class TestJustIdentified:
     @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
+import errno
 import json
+import os
 import urllib.error
+import urllib.parse
+from pathlib import Path
 
 import pytest
 
+from taylorlab import ingest
 from taylorlab.errors import ConfigError, FetchError, IngestError
 from taylorlab.ingest import (
     RemoteConfig,
     SourceDescriptor,
     embedded_dataset,
-    export_quarterly_csv,
     fetch_series,
     parse_quarter_token,
     parse_quarterly_csv,
@@ -24,16 +28,12 @@ class TestParseQuarterToken:
             ("1991Q3", Quarter(1991, 3)),
             ("1990-01-01", Quarter(1990, 1)),
             ("2019-10-01", Quarter(2019, 4)),
-            ("1/1/90", Quarter(1990, 1)),
-            ("10/1/19", Quarter(2019, 4)),
-            ("4/1/55", Quarter(1955, 2)),
-            ("7/1/01", Quarter(2001, 3)),
         ],
     )
     def test_accepted_formats(self, token, expected):
         assert parse_quarter_token(token) == expected
 
-    @pytest.mark.parametrize("token", ["", "Q1-1991", "13/1/90", "1991-13-01"])
+    @pytest.mark.parametrize("token", ["", "Q1-1991", "13/1/90", "1991-13-01", "1/1/90"])
     def test_rejected_tokens(self, token):
         with pytest.raises(IngestError):
             parse_quarter_token(token)
@@ -62,13 +62,6 @@ class TestEmbeddedDatasets:
 
 
 class TestCsvRoundTrip:
-    def test_export_then_parse_is_identity(self):
-        d = embedded_dataset("us")
-        back = parse_quarterly_csv(export_quarterly_csv(d), "us")
-        for name, s in d.series.items():
-            assert back[name].start == s.start
-            assert back[name].values.tolist() == s.values.tolist()
-
     def test_blank_lines_skipped(self):
         text = "date,x\n1990-Q1,1.0\n\n1990-Q2,2.0\n"
         d = parse_quarterly_csv(text)
@@ -108,6 +101,16 @@ class TestCsvErrors:
         with pytest.raises(IngestError, match="expected 3"):
             parse_quarterly_csv(text)
 
+    def test_duplicate_column_name(self):
+        text = "date,x,y,x\n1990-Q1,1.0,2.0,3.0\n"
+        with pytest.raises(IngestError, match="column 4 name 'x'"):
+            parse_quarterly_csv(text)
+
+    def test_blank_column_name(self):
+        text = "date,x, \n1990-Q1,1.0,2.0\n"
+        with pytest.raises(IngestError, match="column 3 name '' is blank"):
+            parse_quarterly_csv(text)
+
 
 def _remote_descriptor(tmp_path):
     return SourceDescriptor(
@@ -136,8 +139,9 @@ def _payload(start=Quarter(1990, 1), n=8, base=100.0):
 
 class TestSourceDescriptor:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            SourceDescriptor(kind="ftp", country="us")
+        for kind in ("ftp", "embedded", "csv_path"):  # the last two were removed
+            with pytest.raises(ConfigError, match="unknown source kind"):
+                SourceDescriptor(kind=kind, country="us")
 
     def test_remote_requires_all_core_ids(self):
         with pytest.raises(ConfigError, match="stock_index"):
@@ -161,17 +165,6 @@ class TestSourceDescriptor:
 
 
 class TestFetchSeries:
-    def test_embedded_kind_delegates(self):
-        d = fetch_series(SourceDescriptor(kind="embedded", country="uk"))
-        assert d.country == "uk"
-        assert len(d["cpi"].values) == 121
-
-    def test_csv_path_kind(self, tmp_path):
-        p = tmp_path / "mini.csv"
-        p.write_text("date,cpi\n1990-Q1,100.0\n1990-Q2,101.0\n")
-        d = fetch_series(SourceDescriptor(kind="csv_path", country="us", csv_path=p))
-        assert d["cpi"].values.tolist() == [100.0, 101.0]
-
     def test_remote_replay(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
         desc = _remote_descriptor(tmp_path)
@@ -233,3 +226,109 @@ class TestFetchSeries:
         ).encode()
         with pytest.raises(IngestError, match="consecutive"):
             fetch_series(_remote_descriptor(tmp_path), http_get=lambda u: broken)
+
+
+def _observations(*pairs):
+    return json.dumps(
+        {"observations": [{"date": d, "value": v} for d, v in pairs]}
+    ).encode()
+
+
+class TestFredDecoding:
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (
+                _observations(("1990-04-01", "2.0"), ("1990-01-01", "1.0")),
+                "consecutive",
+            ),
+            (
+                _observations(("1990-01-01", "1.0"), ("1990-01-01", "2.0")),
+                "duplicate quarter 1990Q1",
+            ),
+            (_observations(), "no observations"),
+            (_observations(("1990-01-01", ".")), "unparsable cell '.'"),
+        ],
+        ids=["out-of-order", "repeated-date", "empty", "missing-value"],
+    )
+    def test_rejected_payload_names_the_series(self, tmp_path, monkeypatch, raw, message):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        with pytest.raises(IngestError, match=f"series 'real_gdp'.*{message}"):
+            fetch_series(_remote_descriptor(tmp_path), http_get=lambda u: raw)
+
+    def test_csv_and_fred_decode_identically(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        text = (Path(ingest.__file__).parent / "data" / "us.csv").read_text()
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        desc = _remote_descriptor(tmp_path)
+        payloads = {}
+        for col, role in enumerate(header[1:], start=1):
+            # the same cells, dated as FRED dates a quarter: 1990-Q2 -> 1990-04-01
+            pairs = [(f"{r[0][:4]}-{int(r[0][-1]) * 3 - 2:02d}-01", r[col]) for r in rows]
+            payloads[desc.series_ids[role]] = _observations(*pairs)
+
+        def fake_get(url):
+            query = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+            return payloads[query["series_id"][0]]
+
+        fred = fetch_series(desc, http_get=fake_get)
+        from_csv = parse_quarterly_csv(text, "us")
+        assert sorted(fred.series) == sorted(from_csv.series)
+        for role, s in from_csv.series.items():
+            assert fred[role].start == s.start
+            assert fred[role].values.tobytes() == s.values.tobytes()
+
+
+def _cache_path(desc, role):
+    sid = desc.series_ids[role]
+    return Path(desc.cache_dir) / f"{ingest._cache_key(desc.remote.base_url, sid)}.json"
+
+
+def _no_space(src, dst):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestCacheFailures:
+    def test_failed_write_does_not_serve_stale_copy(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        monkeypatch.setattr(ingest.os, "replace", _no_space)
+        with pytest.raises(FetchError, match="cannot write cache file .*No space"):
+            fetch_series(desc, http_get=lambda url: _payload(base=500.0))
+        assert len(list((tmp_path / "cache").iterdir())) == 4
+
+    def test_failed_write_with_cold_cache_is_not_a_fetch_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        monkeypatch.setattr(ingest.os, "replace", _no_space)
+        with pytest.raises(FetchError, match="cannot write cache file") as info:
+            fetch_series(_remote_descriptor(tmp_path), http_get=lambda url: _payload())
+        assert "no cached copy" not in str(info.value)
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_cache_path_is_a_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        blocked = _cache_path(desc, "real_gdp")
+        blocked.mkdir(parents=True)
+        with pytest.raises(FetchError, match=f"cannot write cache file {blocked}"):
+            fetch_series(desc, http_get=lambda url: _payload())
+        assert list((tmp_path / "cache").iterdir()) == [blocked]
+
+    def test_unreadable_cached_copy(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        blocked = _cache_path(desc, "real_gdp")
+        blocked.mkdir(parents=True)
+
+        def failing_get(url):
+            raise urllib.error.URLError("offline")
+
+        with pytest.raises(FetchError, match=f"cannot read cached copy {blocked}"):
+            fetch_series(desc, http_get=failing_get)
+
+    def test_cache_directory_cannot_be_created(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        (tmp_path / "cache").write_text("a file, not a directory")
+        with pytest.raises(FetchError, match=f"cannot create cache directory {tmp_path}"):
+            fetch_series(_remote_descriptor(tmp_path), http_get=lambda url: _payload())
