@@ -1,11 +1,11 @@
 """Linear instrumental-variables GMM with HAC moment weighting.
 
-Estimation starts from two-stage least squares (weighting (Z'Z/T)^-1),
-then performs a fixed number of weight updates: each update rebuilds the
-covariance of the moment series z_t * e_t (``hac.moment_cov``: classical,
-or the Bartlett-kernel long-run covariance) from the current residuals and
-re-solves the quadratic problem. The J statistic is evaluated with the
-weighting matrix the final coefficients were estimated under; the reported
+Estimation is two-step efficient GMM (Hansen 1982) with a constant always
+among the instruments: two-stage least squares (weighting (Z'Z/T)^-1), then
+one weight update that rebuilds the covariance of the moment series
+z_t * e_t (``hac.moment_cov``: classical, or the Bartlett-kernel long-run
+covariance) from the 2SLS residuals and re-solves the quadratic problem.
+The J statistic is evaluated with that updated weighting; the reported
 coefficient covariance (``hac.coef_cov``) re-weights with the final
 residuals, which is the convention that reproduces the published standard
 errors.
@@ -32,13 +32,11 @@ from .series import Dataset
 class GmmSpec:
     base: RegressionSpec
     instruments: tuple[Term, ...]
-    add_constant_instrument: bool = True
     weighting: HacConfig | None = HacConfig()  # None: classical
-    weight_updates: int = 1
 
     def __post_init__(self):
         inst = list(coerce_terms(self.instruments))
-        if self.add_constant_instrument and not any(t.name == CONST for t in inst):
+        if not any(t.name == CONST for t in inst):
             inst.insert(0, Term(CONST))
         object.__setattr__(self, "instruments", tuple(inst))
         if len(inst) < len(self.base.regressors):
@@ -53,8 +51,6 @@ class GmmSpec:
                 f"GMM covariance comes from weighting={self.weighting!r}; "
                 f"base covariance {self.base.covariance!r} differs"
             )
-        if self.weight_updates < 0:
-            raise ConfigError("weight_updates must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,9 @@ def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     if rank < Z.shape[1]:
         raise CollinearityError("instrument matrix is rank deficient")
 
-    # step 0: two-stage least squares
-    W = np.linalg.inv(Z.T @ Z / T)
+    beta = _solve_gmm(X, Z, y, np.linalg.inv(Z.T @ Z / T))
+    W = np.linalg.inv(moment_cov(Z, y - X @ beta, spec.weighting))
     beta = _solve_gmm(X, Z, y, W)
-    for _ in range(spec.weight_updates):
-        W = np.linalg.inv(moment_cov(Z, y - X @ beta, spec.weighting))
-        beta = _solve_gmm(X, Z, y, W)
 
     e = y - X @ beta
     gbar = Z.T @ e / T

@@ -13,9 +13,6 @@ from .errors import ConfigError, DomainError
 @dataclass(frozen=True)
 class HacConfig:
     bandwidth: int | None = None  # None: sample-size rule
-    # EViews-style small-sample scaling T/(T-k); required to reproduce the
-    # published standard errors.
-    df_adjust: bool = True
 
     def __post_init__(self):
         if self.bandwidth is not None and self.bandwidth < 1:
@@ -64,24 +61,21 @@ def coef_cov(
 
     With Z = X (OLS as GMM with the regressors as their own instruments)
     this is s^2 (X'X)^-1 for classical and the Newey-West sandwich
-    (X'X)^-1 T S (X'X)^-1 for HAC. The T/(T-k) factor always applies to
-    classical and to HAC when ``cfg.df_adjust`` is set.
+    (X'X)^-1 T S (X'X)^-1 for HAC. Both carry the EViews small-sample
+    factor T/(T-k), which the published standard errors are built with.
     """
     T, k = X.shape
     XZ = X.T @ Z
     V = T * np.linalg.inv(XZ @ np.linalg.solve(moment_cov(Z, e, cfg), XZ.T))
-    if cfg is None or cfg.df_adjust:
-        V *= T / (T - k)
+    V *= T / (T - k)
     return 0.5 * (V + V.T)
 
 
-def newey_west_cov(
-    X: np.ndarray, e: np.ndarray, m: int, df_adjust: bool = True
-) -> np.ndarray:
-    """HAC coefficient covariance (X'X)^-1 T S (X'X)^-1.
+def newey_west_cov(X: np.ndarray, e: np.ndarray, m: int) -> np.ndarray:
+    """HAC coefficient covariance (X'X)^-1 T S (X'X)^-1 times T/(T-k).
 
     With m = 1 the kernel sum is empty and this reduces to the plain HC0
-    sandwich. ``df_adjust`` applies the T/(T-k) small-sample factor.
+    sandwich times T/(T-k).
     """
     X = np.asarray(X, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -91,4 +85,4 @@ def newey_west_cov(
         )
     if m < 1:
         raise DomainError(f"bandwidth must be >= 1, got {m}")
-    return coef_cov(X, X, e, HacConfig(m, df_adjust))
+    return coef_cov(X, X, e, HacConfig(m))

@@ -40,14 +40,6 @@ def _quarter(index: int) -> Quarter:
     return Quarter(index // 4, index % 4 + 1)
 
 
-def parse_quarter_token(token: str) -> Quarter:
-    """Accept the forms of ``Quarter.parse``, or YYYY-MM-DD for the quarter of month MM."""
-    index = _quarter_index(token)
-    if index is None:
-        raise IngestError(f"cannot parse date token {token!r}")
-    return _quarter(index)
-
-
 def _decode(rows, names: list[str], source: str) -> dict[str, Series]:
     """Series ``names`` from (row number, date token, cells) rows.
 
@@ -93,7 +85,11 @@ def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
         except UnicodeDecodeError as exc:
             raise IngestError(f"CSV is not valid UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+        body = list(reader)
+    except csv.Error as exc:  # e.g. a field beyond csv.field_size_limit()
+        raise IngestError(f"CSV, line {reader.line_num}: {exc}") from None
     if header is None:
         raise IngestError("empty CSV: header row missing")
     if len(header) < 2:
@@ -102,7 +98,7 @@ def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
     for k, name in enumerate(names):
         if not name or name in names[:k]:
             raise IngestError(f"CSV header: column {k + 2} name {name!r} is blank or repeated")
-    rows = ((n, row[0], row[1:]) for n, row in enumerate(reader, start=2)
+    rows = ((n, row[0], row[1:]) for n, row in enumerate(body, start=2)
             if any(cell.strip() for cell in row))
     return Dataset(country or "unnamed", _decode(rows, names, "CSV"))
 
@@ -113,9 +109,7 @@ def embedded_dataset(country: str) -> Dataset:
     if country not in ("us", "uk"):
         raise ConfigError(f"no embedded dataset for country {country!r}")
     text = (resources.files("taylorlab") / "data" / f"{country}.csv").read_text()
-    d = parse_quarterly_csv(text, country)
-    d.require_core()
-    return d
+    return parse_quarterly_csv(text, country)
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,11 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
     series = {}
     for role in CORE_SERIES:
         sid = desc.series_ids[role]
-        query = urllib.parse.urlencode({"series_id": sid, "api_key": api_key, "file_type": "json"})
+        query = urllib.parse.urlencode({
+            "series_id": sid, "api_key": api_key, "file_type": "json",
+            # quarterly averages, whatever the native frequency of the series
+            "frequency": "q", "aggregation_method": "avg",
+        })
         cache_path = cache_dir / f"{_cache_key(desc.remote.base_url, sid)}.json"
         try:
             raw = http_get(f"{desc.remote.base_url}?{query}")

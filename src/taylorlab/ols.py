@@ -185,13 +185,22 @@ def build_design(
 
 def summarize(y: np.ndarray, e: np.ndarray, k: int, has_constant: bool) -> dict:
     """Summary block shared by plain and instrumented fits, from the
-    dependent vector, the residuals and the number of parameters."""
+    dependent vector, the residuals and the number of parameters.
+
+    Raises ``CollinearityError`` when SSR <= (eps * T)^2 * y'y: y is then an
+    exact linear combination of the regressors up to rounding. The scale is
+    y'y, not the TSS of R^2, which is zero for a constant y.
+    """
     T = len(y)
     ssr = float(e @ e)
     tss = float(np.sum((y - y.mean()) ** 2)) if has_constant else float(y @ y)
+    if ssr <= (np.finfo(float).eps * T) ** 2 * float(y @ y):
+        raise CollinearityError(
+            "dependent variable is an exact linear combination of the regressors"
+        )
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
-    dw = float(np.sum(np.diff(e) ** 2) / ssr) if ssr > 0 else 0.0
+    dw = float(np.sum(np.diff(e) ** 2) / ssr)
     return {
         "n_obs": T,
         "n_params": k,

@@ -117,12 +117,10 @@ TABLE_RUNNERS = {
 }
 
 
-def run_table(table_id: int, d=None):
-    """Re-estimate one published table; returns its result object."""
+def run_table(table_id: int, d):
+    """Re-estimate one published table on its country's dataset; returns the result."""
     country = country_for_table(table_id)
-    if d is None:
-        d = reproduction_dataset(country)
-    elif d.country != country:
+    if d.country != country:
         raise ConfigError(
             f"table {table_id} belongs to {country!r}, got dataset {d.country!r}"
         )

@@ -27,30 +27,27 @@ from .series import Dataset, Series, lag, natural_log
 @dataclass(frozen=True)
 class TransformConfig:
     inflation_target: float = 2.0
-    yoy_lag: int = 4
     detrend: str = "hp_filter"  # "hp_filter" reproduces the published tables
     hp_lambda: float = 1600.0
 
     def __post_init__(self):
         if not np.isfinite(self.inflation_target):
             raise ConfigError("inflation_target must be finite")
-        if self.yoy_lag < 1:
-            raise ConfigError("yoy_lag must be at least 1")
         if self.detrend not in ("linear_trend", "hp_filter"):
             raise ConfigError(f"unknown detrend method {self.detrend!r}")
         if not 0 < self.hp_lambda < np.inf:
             raise ConfigError(f"hp_lambda must be finite and positive, got {self.hp_lambda}")
 
 
-def yoy_change(s: Series, k: int = 4) -> Series:
-    """100 * (s(t) - s(t-k)) for a series already in logs."""
-    lagged = lag(s, k)
-    return Series(f"yoy_{s.name}", lagged.start, 100.0 * (s.values[k:] - lagged.values))
+def yoy_change(s: Series) -> Series:
+    """100 * (s(t) - s(t-4)): the year-over-year change of a quarterly log series."""
+    lagged = lag(s, 4)
+    return Series(f"yoy_{s.name}", lagged.start, 100.0 * (s.values[4:] - lagged.values))
 
 
 def inflation_gap(cpi: Series, cfg: TransformConfig = TransformConfig()) -> Series:
     """Year-over-year log-CPI inflation minus the target, in percent."""
-    raw = yoy_change(natural_log(cpi), cfg.yoy_lag)
+    raw = yoy_change(natural_log(cpi))
     return Series("inflation_gap", raw.start, raw.values - cfg.inflation_target)
 
 
@@ -134,6 +131,6 @@ def build_taylor_dataset(d: Dataset, cfg: TransformConfig = TransformConfig()) -
         gap = hp_filter_gap(d["real_gdp"], cfg.hp_lambda)
     else:
         gap = linear_trend_gap(d["real_gdp"])
-    s = yoy_change(natural_log(d["stock_index"]), cfg.yoy_lag).renamed("s")
+    s = yoy_change(natural_log(d["stock_index"])).renamed("s")
     it = d["interest_rate"].renamed("it")
     return d.with_series(infl, gap, s, it)

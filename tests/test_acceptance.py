@@ -221,7 +221,7 @@ def test_property_suites(us_data, check):
     ) @ np.linalg.inv(X.T @ X)
     check(
         "hac_m1_is_hc0",
-        np.allclose(newey_west_cov(X, u, 1, df_adjust=False), hc0, atol=1e-12),
+        np.allclose(newey_west_cov(X, u, 1), hc0 * 40 / 37, atol=1e-12),
     )
     V = newey_west_cov(X, u, 5)
     check("hac_psd", np.linalg.eigvalsh(V).min() >= -1e-12)
@@ -233,9 +233,7 @@ def test_property_suites(us_data, check):
         "toy", {k: Series(k, Quarter(2000, 1), tuple(v)) for k, v in cols.items()}
     )
     base = RegressionSpec("y", ("const", "x"))
-    gmm = fit_linear_gmm(
-        toy, GmmSpec(base, ("x",), weighting=None, weight_updates=0)
-    )
+    gmm = fit_linear_gmm(toy, GmmSpec(base, ("x",), weighting=None))
     ols = fit_ols(toy, base)
     check(
         "just_identified_gmm_is_ols",

@@ -147,6 +147,41 @@ class TestFit:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_oversized_csv_field_is_error(self, capsys, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("date,a\n2000-Q1," + "1" * 200_000 + "\n")
+        code, out, err = run_cli(capsys, "fit", "--csv", str(p), "--reg", "a")
+        assert code == 2
+        assert out == ""
+        assert err == "error: CSV, line 2: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--reg", "rate_copy"),
+            ("test", "white", "--reg", "rate_copy,output_gap"),
+            ("test", "jb", "--reg", "rate_copy"),
+            ("fit", "--country", "uk", "--reg", "inflation_gap", "--sample", "2010Q1:2015Q4"),
+        ],
+        ids=["fit", "white", "jb", "uk-rate-at-floor"],
+    )
+    def test_exact_fit_is_estimation_error(self, capsys, tmp_path, argv):
+        # rate_copy repeats interest_rate, the dependent variable; the UK
+        # policy rate is 0.50 throughout 2010-2015
+        lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
+        rate = lines[0].split(",").index("interest_rate")
+        p = tmp_path / "copy.csv"
+        p.write_text("\n".join(
+            [lines[0] + ",rate_copy"] + [f"{line},{line.split(',')[rate]}" for line in lines[1:]]
+        ))
+        if "--country" not in argv:
+            argv += ("--csv", str(p))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == ("estimation error: dependent variable is an exact linear "
+                       "combination of the regressors\n")
+
     def test_duplicate_csv_column_is_error(self, capsys, tmp_path):
         lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
         p = tmp_path / "dup.csv"

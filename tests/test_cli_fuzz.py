@@ -34,7 +34,7 @@ def _reject_constant(name):
 
 
 @st.composite
-def invocations(draw, bad_csv):
+def invocations(draw, bad_csvs):
     command = draw(st.sampled_from(
         ("reproduce", "fit", "wald", "chow", "white", "bg", "jb")
     ))
@@ -44,7 +44,7 @@ def invocations(draw, bad_csv):
         return ["reproduce", "--country", country, *map(str, tables), "-v"]
     argv = ["fit"] if command == "fit" else ["test", command]
     use_csv = draw(st.sampled_from((False,) * 9 + (True,) + (False,) * 10))
-    argv += ["--csv", bad_csv] if use_csv else ["--country", country]
+    argv += ["--csv", draw(st.sampled_from(bad_csvs))] if use_csv else ["--country", country]
     argv += ["--reg", ",".join(draw(st.lists(terms, min_size=1, max_size=4, unique=True)))]
     if command == "chow":
         argv += ["--break", draw(quarters)]
@@ -67,15 +67,19 @@ def invocations(draw, bad_csv):
 
 
 @pytest.fixture(scope="module")
-def bad_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "latin1.csv"
-    path.write_bytes(b"date,cpi\n2000-Q1,1.0\xff\n")
-    return str(path)
+def bad_csvs(tmp_path_factory):
+    """A file that is not UTF-8, and one whose value field exceeds the csv
+    module's 131,072-character field limit."""
+    latin1 = tmp_path_factory.mktemp("fuzz") / "latin1.csv"
+    latin1.write_bytes(b"date,cpi\n2000-Q1,1.0\xff\n")
+    oversized = latin1.with_name("oversized.csv")
+    oversized.write_text("date,cpi\n2000-Q1," + "1" * 200_000 + "\n")
+    return (str(latin1), str(oversized))
 
 
-def test_cli_contract_holds_for_drawn_invocations(bad_csv):
+def test_cli_contract_holds_for_drawn_invocations(bad_csvs):
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(invocations(bad_csv))
+    @given(invocations(bad_csvs))
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

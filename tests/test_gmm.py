@@ -38,11 +38,7 @@ class TestGmmSpec:
 
     def test_under_identified_rejected(self):
         with pytest.raises(ConfigError, match="under-identified"):
-            GmmSpec(
-                RegressionSpec("y", ("x1", "x2", "x3")),
-                ("z1",),
-                add_constant_instrument=False,
-            )
+            GmmSpec(RegressionSpec("y", ("x1", "x2", "x3")), ("z1", "z2"))
 
     def test_unknown_weighting_rejected(self):
         with pytest.raises(ConfigError):
@@ -70,24 +66,13 @@ class TestJustIdentified:
         rng = np.random.default_rng(41)
         d = _random_iv_dataset(rng)
         base = RegressionSpec("y", ("const", "x"), covariance=cov)
-        gmm = fit_linear_gmm(
-            d,
-            GmmSpec(base, ("x",), weighting=cov, weight_updates=0),
-        )
+        gmm = fit_linear_gmm(d, GmmSpec(base, ("x",), weighting=cov))
         ols = fit_ols(d, base)
         assert np.allclose(gmm.coefficients, ols.coefficients, atol=1e-8)
         assert np.allclose(gmm.covariance, ols.covariance, rtol=1e-10, atol=0)
         assert np.allclose(gmm.p_values, ols.p_values, rtol=1e-10, atol=0)
         assert gmm.j_statistic == pytest.approx(0.0, abs=1e-8)
         assert math.isnan(gmm.j_prob)
-
-    def test_weight_updates_do_not_move_just_identified_estimate(self):
-        rng = np.random.default_rng(42)
-        d = _random_iv_dataset(rng)
-        base = RegressionSpec("y", ("const", "x"))
-        a = fit_linear_gmm(d, GmmSpec(base, ("z1",), weight_updates=0))
-        b = fit_linear_gmm(d, GmmSpec(base, ("z1",), weight_updates=3))
-        assert np.allclose(a.coefficients, b.coefficients, atol=1e-8)
 
 
 def _two_stage_oracle(y, X, Z):
@@ -97,30 +82,14 @@ def _two_stage_oracle(y, X, Z):
 
 
 class TestTwoStageStep:
-    def test_zero_updates_match_2sls_oracle(self):
-        rng = np.random.default_rng(43)
-        d = _random_iv_dataset(rng)
-        base = RegressionSpec("y", ("const", "x"))
-        gmm = fit_linear_gmm(
-            d, GmmSpec(base, ("z1", "z2", "z3"), weight_updates=0)
-        )
-        T = gmm.n_obs
-        y = np.asarray(d["y"].values)
-        X = np.column_stack([np.ones(T), d["x"].values])
-        Z = np.column_stack(
-            [np.ones(T), d["z1"].values, d["z2"].values, d["z3"].values]
-        )
-        assert np.allclose(gmm.coefficients, _two_stage_oracle(y, X, Z), atol=1e-8)
-
     def test_moment_first_order_condition(self):
+        # the estimate solves the first-order condition under the weighting
+        # built from the 2SLS residuals, which checks both steps together
         from taylorlab.hac import default_bandwidth, long_run_cov
 
         rng = np.random.default_rng(44)
         d = _random_iv_dataset(rng)
         base = RegressionSpec("y", ("const", "x"))
-        step0 = fit_linear_gmm(
-            d, GmmSpec(base, ("z1", "z2", "z3"), weight_updates=0)
-        )
         final = fit_linear_gmm(d, GmmSpec(base, ("z1", "z2", "z3")))
         T = final.n_obs
         y = np.asarray(d["y"].values)
@@ -128,7 +97,7 @@ class TestTwoStageStep:
         Z = np.column_stack(
             [np.ones(T), d["z1"].values, d["z2"].values, d["z3"].values]
         )
-        e0 = y - X @ step0.coefficients
+        e0 = y - X @ _two_stage_oracle(y, X, Z)
         W = np.linalg.inv(long_run_cov(Z * e0[:, None], default_bandwidth(T)))
         gbar = Z.T @ (y - X @ final.coefficients) / T
         foc = X.T @ Z @ W @ gbar
@@ -174,13 +143,13 @@ class TestRankChecks:
 
 
 class TestClassicalWeighting:
-    def test_classical_just_identified_matches_iv_oracle(self):
+    # just identified, the estimate is the IV solution whatever the weighting
+    @pytest.mark.parametrize("weighting", [None, HacConfig()], ids=["classical", "hac"])
+    def test_classical_just_identified_matches_iv_oracle(self, weighting):
         rng = np.random.default_rng(46)
         d = _random_iv_dataset(rng)
         base = RegressionSpec("y", ("const", "x"))
-        gmm = fit_linear_gmm(
-            d, GmmSpec(base, ("z1",), weighting=None, weight_updates=1)
-        )
+        gmm = fit_linear_gmm(d, GmmSpec(base, ("z1",), weighting=weighting))
         T = gmm.n_obs
         y = np.asarray(d["y"].values)
         X = np.column_stack([np.ones(T), d["x"].values])

@@ -44,11 +44,12 @@ class TestLongRunCov:
 
 class TestNeweyWestCov:
     def test_bandwidth_one_is_hc0(self):
+        # the empty kernel sum leaves HC0 with the T/(T-k) factor
         rng = np.random.default_rng(31)
         X = np.column_stack([np.ones(60), rng.normal(size=(60, 2))])
         e = rng.normal(size=60)
-        got = newey_west_cov(X, e, 1, df_adjust=False)
-        assert np.allclose(got, _hc0(X, e), atol=1e-12)
+        got = newey_west_cov(X, e, 1)
+        assert np.allclose(got, _hc0(X, e) * 60 / 57, atol=1e-12)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(32)
@@ -57,14 +58,6 @@ class TestNeweyWestCov:
         V = newey_west_cov(X, e, 6)
         assert np.allclose(V, V.T, atol=1e-12)
         assert np.linalg.eigvalsh(V).min() >= -1e-10 * np.trace(V)
-
-    def test_df_adjust_scales_by_t_over_t_minus_k(self):
-        rng = np.random.default_rng(33)
-        X = np.column_stack([np.ones(50), rng.normal(size=(50, 1))])
-        e = rng.normal(size=50)
-        raw = newey_west_cov(X, e, 4, df_adjust=False)
-        adj = newey_west_cov(X, e, 4, df_adjust=True)
-        assert np.allclose(adj, raw * 50 / 48, atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

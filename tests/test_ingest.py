@@ -14,13 +14,13 @@ from taylorlab.ingest import (
     SourceDescriptor,
     embedded_dataset,
     fetch_series,
-    parse_quarter_token,
     parse_quarterly_csv,
 )
 from taylorlab.series import Quarter
 
 
 class TestParseQuarterToken:
+    # the date forms a CSV row may carry, through the shared decoder
     @pytest.mark.parametrize(
         "token,expected",
         [
@@ -31,12 +31,12 @@ class TestParseQuarterToken:
         ],
     )
     def test_accepted_formats(self, token, expected):
-        assert parse_quarter_token(token) == expected
+        assert parse_quarterly_csv(f"date,x\n{token},1.0\n")["x"].start == expected
 
     @pytest.mark.parametrize("token", ["", "Q1-1991", "13/1/90", "1991-13-01", "1/1/90"])
     def test_rejected_tokens(self, token):
-        with pytest.raises(IngestError):
-            parse_quarter_token(token)
+        with pytest.raises(IngestError, match="cannot parse date token"):
+            parse_quarterly_csv(f"date,x\n{token},1.0\n")
 
 
 class TestEmbeddedDatasets:
@@ -111,6 +111,18 @@ class TestCsvErrors:
         with pytest.raises(IngestError, match="column 3 name '' is blank"):
             parse_quarterly_csv(text)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("date," + "x" * 200_000 + "\n1990-Q1,1.0\n", 1),
+            ("date,x\n1990-Q1,1.0\n1990-Q2," + "1" * 200_000 + "\n", 3),
+        ],
+        ids=["header", "data-row"],
+    )
+    def test_field_beyond_csv_limit_names_the_line(self, text, line):
+        with pytest.raises(IngestError, match=f"CSV, line {line}: field larger than field limit"):
+            parse_quarterly_csv(text)
+
 
 def _remote_descriptor(tmp_path):
     return SourceDescriptor(
@@ -181,6 +193,21 @@ class TestFetchSeries:
         assert d["cpi"].values[0] == 100.0
         cached = list((tmp_path / "cache").glob("*.json"))
         assert len(cached) == 4
+
+    def test_query_asks_for_quarterly_averages(self, tmp_path, monkeypatch):
+        # a monthly series such as CPIAUCSL must come back as quarterly means
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        seen = []
+
+        def fake_get(url):
+            seen.append(urllib.parse.parse_qs(urllib.parse.urlsplit(url).query))
+            return _payload()
+
+        fetch_series(_remote_descriptor(tmp_path), http_get=fake_get)
+        assert len(seen) == 4
+        for query in seen:
+            assert query["frequency"] == ["q"]
+            assert query["aggregation_method"] == ["avg"]
 
     def test_cache_fallback_after_network_failure(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")

@@ -72,14 +72,17 @@ class TestSolveOls:
 
 
 class TestFitOls:
-    def test_perfect_fit(self):
+    def test_exact_fit_rejected(self):
+        # y = 2x, and a constant y (a policy rate held at its floor, whose
+        # centered TSS is zero): the residuals are rounding noise
         x = np.arange(1.0, 11.0)
-        d = _toy_dataset({"y": 2 * x, "x": x})
-        fit = fit_ols(d, RegressionSpec("y", ("x",)))
-        assert fit.coef("x") == pytest.approx(2.0, abs=1e-12)
-        assert fit.coef("C") == pytest.approx(0.0, abs=1e-10)
-        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.ssr == pytest.approx(0.0, abs=1e-18)
+        for y in (2 * x, np.full(10, 0.5)):
+            with pytest.raises(CollinearityError, match="exact linear combination"):
+                fit_ols(_toy_dataset({"y": y, "x": x}), RegressionSpec("y", ("x",)))
+        # a residual far above rounding, if tiny, is still a fit
+        y = 2 * x + 1e-9 * np.random.default_rng(20).normal(size=10)
+        fit = fit_ols(_toy_dataset({"y": y, "x": x}), RegressionSpec("y", ("x",)))
+        assert fit.coef("x") == pytest.approx(2.0, abs=1e-9)
 
     def test_us_baseline_coefficients(self, us_data):
         fit = fit_ols(us_data, RegressionSpec("it", ("inflation_gap", "output_gap", "const")))

@@ -22,11 +22,11 @@ def _series(vals, name="x", start=Quarter(1990, 1)):
 
 class TestYoyChange:
     def test_constant_log_series_is_zero(self):
-        out = yoy_change(_series([3.7] * 10), 4)
+        out = yoy_change(_series([3.7] * 10))
         assert out.values == pytest.approx((0.0,) * 6, abs=0)
 
     def test_linear_in_logs_is_constant(self):
-        out = yoy_change(_series([t / 100 for t in range(12)]), 4)
+        out = yoy_change(_series([t / 100 for t in range(12)]))
         assert out.values == pytest.approx((4.0,) * 8, abs=1e-12)
 
     def test_us_cpi_1991q1_against_log_oracle(self):
@@ -37,13 +37,13 @@ class TestYoyChange:
         cpi = embedded_dataset("us")["cpi"]
         from taylorlab.series import natural_log
 
-        out = yoy_change(natural_log(cpi), 4)
+        out = yoy_change(natural_log(cpi))
         assert out.at(Quarter(1991, 1)) == pytest.approx(oracle, abs=1e-12)
         assert out.at(Quarter(1991, 1)) == pytest.approx(5.1258, abs=5e-4)
 
     def test_exhausted_sample_raises(self):
         with pytest.raises(SampleError):
-            yoy_change(_series([1.0, 2.0]), 4)
+            yoy_change(_series([1.0, 2.0]))
 
 
 class TestInflationGap:
@@ -251,7 +251,7 @@ class TestTransformConfig:
         "kwargs",
         [
             dict(inflation_target=math.nan),
-            dict(yoy_lag=0),
+            dict(inflation_target=math.inf),
             dict(detrend="bandpass"),
             dict(hp_lambda=-1.0),
             dict(hp_lambda=math.nan),
