@@ -5,31 +5,37 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import dist
 from .errors import ConfigError, DomainError, SampleError
-from .ols import CONST, FitResult, RegressionSpec, fit_ols, log_likelihood, solve_ols
+from .ols import (
+    CONST, FitResult, RegressionSpec, fit_ols, log_likelihood, reject_exact_fit, solve_ols,
+)
+from .records import Record
 from .series import Dataset, Quarter, Series
 
 
-@dataclass(frozen=True)
-class TestStatistic:
-    form: str  # F | chi2 | LR | obs_r2 | jb
-    value: float
-    df: tuple[int, ...]
-    p: float
+class TestStatistic(Record):
+    _fields = ("form", "value", "df", "p")
+
+    def __init__(self, form: str, value: float, df: tuple[int, ...], p: float):
+        # form: F | chi2 | LR | obs_r2 | jb
+        self.__dict__.update(form=form, value=value, df=df, p=p)
 
 
-@dataclass(frozen=True)
-class TestReport:
-    name: str
-    null_hypothesis: str
-    statistics: tuple[TestStatistic, ...]
-    # extra labelled scalars (e.g. normalized restriction values)
-    details: tuple[tuple[str, float], ...] = ()
+class TestReport(Record):
+    _fields = ("name", "null_hypothesis", "statistics", "details")
+
+    # details: extra labelled scalars (e.g. normalized restriction values)
+    def __init__(
+        self, name: str, null_hypothesis: str, statistics: tuple[TestStatistic, ...],
+        details: tuple[tuple[str, float], ...] = (),
+    ):
+        self.__dict__.update(
+            name=name, null_hypothesis=null_hypothesis, statistics=statistics, details=details
+        )
 
     def stat(self, form: str) -> TestStatistic:
         for s in self.statistics:
@@ -86,7 +92,8 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
 
     The pre-break regime ends the quarter before ``break_at``; the second
     regime starts at ``break_at``. Each regime is solved on its rows of the
-    pooled design. Reports F, the likelihood ratio, and the Wald form k*F.
+    pooled design, and a regime that is an exact fit raises, as a fit does.
+    Reports F, the likelihood ratio, and the Wald form k*F.
     """
     pooled = fit_ols(d, spec)
     start, end = pooled.sample
@@ -96,9 +103,11 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     X, y = pooled.x_matrix, pooled.y_vector
     n1 = break_at - start
     ssr = []
-    for rows in (slice(None, n1), slice(n1, None)):
+    for rows, first, last in ((slice(None, n1), start, break_at.offset(-1)),
+                              (slice(n1, None), break_at, end)):
         e = y[rows] - X[rows] @ solve_ols(X[rows], y[rows], pooled.labels)
         ssr.append(float(e @ e))
+        reject_exact_fit(ssr[-1], y[rows], f" over the regime {first}..{last}")
     ssr1, ssr2 = ssr
     F = max(((pooled.ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
     lr = 2.0 * (

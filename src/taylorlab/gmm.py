@@ -14,7 +14,6 @@ errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,42 +24,39 @@ from .ols import (
     CONST, Estimate, RegressionSpec, Term, auto_sample, build_design, coerce_terms, inference,
     summarize, term_columns,
 )
+from .records import Record
 from .series import Dataset
 
 
-@dataclass(frozen=True)
-class GmmSpec:
-    base: RegressionSpec
-    instruments: tuple[Term, ...]
-    weighting: HacConfig | None = HacConfig()  # None: classical
+class GmmSpec(Record):
+    _fields = ("base", "instruments", "weighting")
 
-    def __post_init__(self):
-        inst = list(coerce_terms(self.instruments))
+    def __init__(  # weighting None: classical
+        self, base: RegressionSpec, instruments, weighting: HacConfig | None = HacConfig()
+    ):
+        inst = list(coerce_terms(instruments))
         if not any(t.name == CONST for t in inst):
             inst.insert(0, Term(CONST))
-        object.__setattr__(self, "instruments", tuple(inst))
-        if len(inst) < len(self.base.regressors):
+        if len(inst) < len(base.regressors):
             raise ConfigError(
                 f"under-identified: {len(inst)} instruments for "
-                f"{len(self.base.regressors)} parameters"
+                f"{len(base.regressors)} parameters"
             )
-        if self.weighting is not None and not isinstance(self.weighting, HacConfig):
-            raise ConfigError(f"unknown weighting {self.weighting!r}")
-        if self.base.covariance is not None and self.base.covariance != self.weighting:
+        if weighting is not None and not isinstance(weighting, HacConfig):
+            raise ConfigError(f"unknown weighting {weighting!r}")
+        if base.covariance is not None and base.covariance != weighting:
             raise ConfigError(
-                f"GMM covariance comes from weighting={self.weighting!r}; "
-                f"base covariance {self.base.covariance!r} differs"
+                f"GMM covariance comes from weighting={weighting!r}; "
+                f"base covariance {base.covariance!r} differs"
             )
+        self.__dict__.update(base=base, instruments=tuple(inst), weighting=weighting)
 
 
-@dataclass(frozen=True)
 class GmmResult(Estimate):
-    """An instrumented fit: the shared estimate plus the J test."""
+    """An instrumented fit: the shared estimate plus its spec and the J test.
+    Like every estimate it compares by identity."""
 
-    spec: GmmSpec
-    j_statistic: float
-    j_prob: float
-    instrument_rank: int
+    _fields = Estimate._fields + ("spec", "j_statistic", "j_prob", "instrument_rank")
 
 
 def _solve_gmm(X, Z, y, W):
@@ -72,7 +68,10 @@ def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     base = spec.base
     if base.sample is None:
         terms = [base.dependent, *base.regressors, *spec.instruments]
-        base = replace(base, sample=auto_sample(d, terms))
+        base = RegressionSpec(
+            base.dependent, base.regressors, base.include_constant, auto_sample(d, terms),
+            base.covariance,
+        )
     y, X, sample = build_design(d, base)
     T, k = X.shape
     Z = term_columns(d, spec.instruments, *sample)

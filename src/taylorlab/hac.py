@@ -3,20 +3,19 @@ Bartlett-kernel (Newey-West) long-run covariance for robust inference."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import CollinearityError, ConfigError, DomainError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class HacConfig:
-    bandwidth: int | None = None  # None: sample-size rule
+class HacConfig(Record):
+    _fields = ("bandwidth",)
 
-    def __post_init__(self):
-        if self.bandwidth is not None and self.bandwidth < 1:
-            raise ConfigError(f"bandwidth must be >= 1, got {self.bandwidth}")
+    def __init__(self, bandwidth: int | None = None):  # None: sample-size rule
+        if bandwidth is not None and bandwidth < 1:
+            raise ConfigError(f"bandwidth must be >= 1, got {bandwidth}")
+        self.__dict__.update(bandwidth=bandwidth)
 
 
 def default_bandwidth(T: int) -> int:
@@ -47,11 +46,28 @@ def moment_cov(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarra
 
     Classical (``cfg`` None): (e'e/T) Z'Z/T. HAC: the Bartlett long-run
     covariance with ``cfg.bandwidth``, or the sample-size rule when None.
+
+    Raises ``CollinearityError`` when S is singular to rounding: scaled so
+    that each moment has its classical size sqrt(z_j'z_j e'e) / T, its
+    reciprocal condition number is at most k * eps. A one-quarter dummy
+    among the regressors does this (the fit matches its quarter exactly, so
+    its moment is rounding noise), and so does a bandwidth so large that
+    every Bartlett weight rounds to 1, which leaves S = (Z'e)(Z'e)'/T.
     """
-    T = Z.shape[0]
+    T, k = Z.shape
+    ee = float(e @ e)
     if cfg is None:
-        return float(e @ e) / T * (Z.T @ Z) / T
-    return long_run_cov(Z * e[:, None], cfg.bandwidth or default_bandwidth(T))
+        S = ee / T * (Z.T @ Z) / T
+    else:
+        S = long_run_cov(Z * e[:, None], cfg.bandwidth or default_bandwidth(T))
+    scale = np.sqrt(np.einsum("ij,ij->j", Z, Z) * ee) / T
+    w = np.linalg.eigvalsh(S / np.outer(scale, scale)) if ee else (0.0,)
+    if w[0] <= k * np.finfo(float).eps * w[-1]:
+        raise CollinearityError(
+            "singular moment covariance: the moments z_t * e_t are linearly dependent "
+            "up to rounding"
+        )
+    return S
 
 
 def coef_cov(

@@ -16,11 +16,11 @@ import os
 import re
 import tempfile
 import urllib.parse
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, FetchError, IngestError
+from .records import Frozen, Record
 from .series import _QUARTER_RE, CORE_SERIES, Dataset, Quarter, Series
 
 _ISO_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])-\d{2}$")
@@ -112,30 +112,39 @@ def embedded_dataset(country: str) -> Dataset:
     return parse_quarterly_csv(text, country)
 
 
-@dataclass(frozen=True)
-class RemoteConfig:
-    base_url: str = "https://api.stlouisfed.org/fred/series/observations"
-    api_key_env: str = "FRED_API_KEY"
+class RemoteConfig(Record):
+    _fields = ("base_url", "api_key_env")
+
+    def __init__(
+        self, base_url: str = "https://api.stlouisfed.org/fred/series/observations",
+        api_key_env: str = "FRED_API_KEY",
+    ):
+        self.__dict__.update(base_url=base_url, api_key_env=api_key_env)
 
 
-@dataclass(frozen=True)
-class SourceDescriptor:
-    """A FRED source for ``fetch_series``: the four core series ids and a cache."""
+class SourceDescriptor(Frozen):
+    """A FRED source for ``fetch_series``: the four core series ids and a cache.
 
-    kind: str  # "remote", the only source kind; kept first for positional callers
-    country: str
-    series_ids: dict[str, str] = field(default_factory=dict)
-    cache_dir: str | Path = ""
-    remote: RemoteConfig = RemoteConfig()
+    It holds the ``series_ids`` dict, so it compares by identity.
+    """
 
-    def __post_init__(self):
-        if self.kind != "remote":
-            raise ConfigError(f"unknown source kind {self.kind!r}")
-        missing = [r for r in CORE_SERIES if r not in self.series_ids]
+    _fields = ("kind", "country", "series_ids", "cache_dir", "remote")
+
+    # kind: "remote", the only source kind; kept first for positional callers
+    def __init__(
+        self, kind: str, country: str, series_ids: dict[str, str] | None = None,
+        cache_dir: str | Path = "", remote: RemoteConfig = RemoteConfig(),
+    ):
+        if kind != "remote":
+            raise ConfigError(f"unknown source kind {kind!r}")
+        missing = [r for r in CORE_SERIES if r not in (series_ids or {})]
         if missing:
             raise ConfigError(f"remote source needs ids for: {', '.join(missing)}")
-        if not self.cache_dir:
+        if not cache_dir:
             raise ConfigError("remote source needs a cache_dir")
+        self.__dict__.update(
+            kind=kind, country=country, series_ids=series_ids, cache_dir=cache_dir, remote=remote
+        )
 
 
 def _default_http_get(url: str) -> bytes:

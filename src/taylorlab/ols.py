@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dist
 from .errors import CollinearityError, ConfigError, SampleError
 from .hac import HacConfig, coef_cov
+from .records import Frozen, Record
 from .series import Dataset, Quarter, Series, common_span, lag
 
 CONST = "const"
@@ -18,16 +18,15 @@ CONST = "const"
 _TERM_RE = re.compile(r"^([A-Za-z_][\w]*)(?:\(-(\d+)\))?$")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """A regressor or instrument: a series name plus a non-negative lag."""
 
-    name: str
-    lag: int = 0
+    _fields = ("name", "lag")
 
-    def __post_init__(self):
-        if self.name == CONST and self.lag:
-            raise ConfigError(f"the constant takes no lag: {self.name}(-{self.lag})")
+    def __init__(self, name: str, lag: int = 0):
+        if name == CONST and lag:
+            raise ConfigError(f"the constant takes no lag: {name}(-{lag})")
+        self.__dict__.update(name=name, lag=lag)
 
     @classmethod
     def parse(cls, text: str) -> "Term":
@@ -55,8 +54,7 @@ def coerce_terms(terms) -> tuple[Term, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RegressionSpec:
+class RegressionSpec(Record):
     """Declarative model: dependent, ordered regressors, sample, covariance.
 
     The constant is the literal term ``const`` and may sit anywhere in the
@@ -66,72 +64,73 @@ class RegressionSpec:
     estimator or a HacConfig for Newey-West.
     """
 
-    dependent: Term
-    regressors: tuple[Term, ...]
-    include_constant: bool = True
-    sample: tuple[Quarter, Quarter] | None = None
-    covariance: HacConfig | None = None
+    _fields = ("dependent", "regressors", "include_constant", "sample", "covariance")
 
-    def __post_init__(self):
-        dep = self.dependent if isinstance(self.dependent, Term) else Term.parse(str(self.dependent))
-        regs = list(coerce_terms(self.regressors))
-        if self.include_constant and not any(t.name == CONST for t in regs):
+    def __init__(
+        self, dependent: Term | str, regressors, include_constant: bool = True,
+        sample: tuple[Quarter, Quarter] | None = None, covariance: HacConfig | None = None,
+    ):
+        dep = dependent if isinstance(dependent, Term) else Term.parse(str(dependent))
+        regs = list(coerce_terms(regressors))
+        if include_constant and not any(t.name == CONST for t in regs):
             regs.append(Term(CONST))
         if not regs:
             raise ConfigError("model needs at least one regressor or a constant")
         if dep in regs:
             raise ConfigError(f"dependent variable {dep.label} cannot also be a regressor")
-        object.__setattr__(self, "dependent", dep)
-        object.__setattr__(self, "regressors", tuple(regs))
-        if self.covariance is not None and not isinstance(self.covariance, HacConfig):
-            raise ConfigError(f"unknown covariance estimator {self.covariance!r}")
+        if covariance is not None and not isinstance(covariance, HacConfig):
+            raise ConfigError(f"unknown covariance estimator {covariance!r}")
+        self.__dict__.update(
+            dependent=dep, regressors=tuple(regs), include_constant=include_constant,
+            sample=sample, covariance=covariance,
+        )
 
     @property
     def has_constant(self) -> bool:
         return any(t.name == CONST for t in self.regressors)
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """Coefficient table and summary block shared by OLS and GMM results."""
+class Estimate(Frozen):
+    """Coefficient table and summary block shared by OLS and GMM results.
 
-    labels: tuple[str, ...]
-    coefficients: np.ndarray
-    std_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    covariance: np.ndarray
-    sample: tuple[Quarter, Quarter]
-    n_obs: int
-    n_params: int
-    r2: float
-    adj_r2: float
-    se_regression: float
-    ssr: float
-    durbin_watson: float
-    mean_dep: float
-    sd_dep: float
+    Built from keyword arguments, one per field: the labels, the arrays
+    ``coefficients``, ``std_errors``, ``t_stats``, ``p_values`` and
+    ``covariance``, the (start, end) ``sample``, and the summary block of
+    ``summarize``. An estimate holds arrays, so it compares by identity:
+    ``fit == fit`` holds, two fits of one spec are unequal.
+    """
+
+    _fields = (
+        "labels", "coefficients", "std_errors", "t_stats", "p_values", "covariance", "sample",
+        "n_obs", "n_params", "r2", "adj_r2", "se_regression", "ssr", "durbin_watson",
+        "mean_dep", "sd_dep",
+    )
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {', '.join(self._fields)}; "
+                f"got {', '.join(fields)}"
+            )
+        self.__dict__.update(fields)
 
     def coef(self, label: str) -> float:
         return self.coefficients[self.labels.index(label)]
 
 
-@dataclass(frozen=True)
 class FitResult(Estimate):
-    """Complete estimation output of one least-squares run."""
+    """Complete estimation output of one least-squares run: the estimate
+    plus its spec, residual series and information criteria.
 
-    spec: RegressionSpec
-    residuals: Series
-    log_likelihood: float
-    f_statistic: float
-    f_prob: float
-    aic: float
-    schwarz: float
-    hannan_quinn: float
-    # design matrix and dependent vector over the adjusted sample; kept for
-    # the Chow regimes and the diagnostic tests' auxiliary regressions
-    x_matrix: np.ndarray = field(repr=False, default=None)
-    y_vector: np.ndarray = field(repr=False, default=None)
+    ``x_matrix`` and ``y_vector`` are the design matrix and dependent
+    vector over the adjusted sample, kept for the Chow regimes and the
+    diagnostic tests' auxiliary regressions.
+    """
+
+    _fields = Estimate._fields + (
+        "spec", "residuals", "log_likelihood", "f_statistic", "f_prob", "aic", "schwarz",
+        "hannan_quinn", "x_matrix", "y_vector",
+    )
 
 
 def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
@@ -183,21 +182,26 @@ def build_design(
     return spec.dependent.resolve(d).window(start, end), X, (start, end)
 
 
+def reject_exact_fit(ssr: float, y: np.ndarray, where: str = "") -> None:
+    """Raise ``CollinearityError`` when SSR <= (eps * T)^2 * y'y: y is then an
+    exact linear combination of the regressors up to rounding, and the
+    residuals are rounding noise. The scale is y'y, not the TSS of R^2, which
+    is zero for a constant y. ``where`` is appended to the message."""
+    if ssr <= (np.finfo(float).eps * len(y)) ** 2 * float(y @ y):
+        raise CollinearityError(
+            f"dependent variable is an exact linear combination of the regressors{where}"
+        )
+
+
 def summarize(y: np.ndarray, e: np.ndarray, k: int, has_constant: bool) -> dict:
     """Summary block shared by plain and instrumented fits, from the
     dependent vector, the residuals and the number of parameters.
-
-    Raises ``CollinearityError`` when SSR <= (eps * T)^2 * y'y: y is then an
-    exact linear combination of the regressors up to rounding. The scale is
-    y'y, not the TSS of R^2, which is zero for a constant y.
+    An exact fit raises (``reject_exact_fit``).
     """
     T = len(y)
     ssr = float(e @ e)
     tss = float(np.sum((y - y.mean()) ** 2)) if has_constant else float(y @ y)
-    if ssr <= (np.finfo(float).eps * T) ** 2 * float(y @ y):
-        raise CollinearityError(
-            "dependent variable is an exact linear combination of the regressors"
-        )
+    reject_exact_fit(ssr, y)
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
     dw = float(np.sum(np.diff(e) ** 2) / ssr)
@@ -229,8 +233,8 @@ def inference(beta: np.ndarray, V: np.ndarray, df: int) -> dict:
 
 
 def log_likelihood(ssr: float, T: int) -> float:
-    """Gaussian log likelihood of a least-squares fit (inf for an exact fit)."""
-    return -T / 2.0 * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / T)) if ssr > 0 else math.inf
+    """Gaussian log likelihood of a least-squares fit."""
+    return -T / 2.0 * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / T))
 
 
 def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 from .diagnostics import TestReport
 from .errors import ConfigError
 from .ols import Estimate, FitResult
+from .records import Frozen, Record
 
 
 def _fmt_p(p: float) -> str:
@@ -150,38 +150,42 @@ def render_table(result, fmt: str = "text") -> str:
     raise ConfigError(f"cannot render object of type {type(result).__name__}")
 
 
-@dataclass(frozen=True)
-class GoldenCell:
-    expected: float
-    abs_tol: float | None
-    rel_tol: float | None
+class GoldenCell(Record):
+    _fields = ("expected", "abs_tol", "rel_tol")
 
-    def __post_init__(self):
-        if self.abs_tol is None and self.rel_tol is None:
+    def __init__(self, expected: float, abs_tol: float | None, rel_tol: float | None):
+        if abs_tol is None and rel_tol is None:
             raise ConfigError("golden cell needs at least one tolerance")
+        self.__dict__.update(expected=expected, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-@dataclass(frozen=True)
-class GoldenTable:
-    table_id: int
-    country: str
-    cells: dict[str, GoldenCell]
+class GoldenTable(Frozen):
+    """A stored table's cells by label; it holds a dict, so it compares by identity."""
+
+    _fields = ("table_id", "country", "cells")
+
+    def __init__(self, table_id: int, country: str, cells: dict[str, GoldenCell]):
+        self.__dict__.update(table_id=table_id, country=country, cells=cells)
 
 
-@dataclass(frozen=True)
-class CellDiff:
-    label: str
-    observed: float
-    expected: float
-    abs_tol: float | None
-    rel_tol: float | None
-    passed: bool
+class CellDiff(Record):
+    _fields = ("label", "observed", "expected", "abs_tol", "rel_tol", "passed")
+
+    def __init__(
+        self, label: str, observed: float, expected: float,
+        abs_tol: float | None, rel_tol: float | None, passed: bool,
+    ):
+        self.__dict__.update(
+            label=label, observed=observed, expected=expected,
+            abs_tol=abs_tol, rel_tol=rel_tol, passed=passed,
+        )
 
 
-@dataclass(frozen=True)
-class GoldenDiff:
-    table_id: int
-    rows: tuple[CellDiff, ...]
+class GoldenDiff(Record):
+    _fields = ("table_id", "rows")
+
+    def __init__(self, table_id: int, rows: tuple[CellDiff, ...]):
+        self.__dict__.update(table_id=table_id, rows=rows)
 
     @property
     def passed(self) -> bool:

@@ -8,25 +8,44 @@ start quarter, so observation ``k`` always belongs to ``start + k``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, SampleError
+from .records import Frozen, Record
 
 _QUARTER_RE = re.compile(r"^(\d{4})[-: ]?Q([1-4])$", re.IGNORECASE)
 
 
-@dataclass(frozen=True, order=True)
-class Quarter:
+class Quarter(Record):
     """A calendar quarter, totally ordered by (year, q)."""
 
-    year: int
-    q: int
+    _fields = ("year", "q")
 
-    def __post_init__(self):
-        if self.q not in (1, 2, 3, 4):
-            raise DomainError(f"quarter number must be 1..4, got {self.q}")
+    def __init__(self, year: int, q: int):
+        if q not in (1, 2, 3, 4):
+            raise DomainError(f"quarter number must be 1..4, got {q}")
+        self.__dict__.update(year=year, q=q)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.year, self.q) < (other.year, other.q)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.year, self.q) <= (other.year, other.q)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.year, self.q) > (other.year, other.q)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.year, self.q) >= (other.year, other.q)
+        return NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":
@@ -52,34 +71,32 @@ class Quarter:
         return f"{self.year}Q{self.q}"
 
 
-@dataclass(frozen=True, eq=False)
-class Series:
+class Series(Frozen):
     """Contiguous quarterly observations with no internal gaps.
 
     ``values`` is a read-only float64 array. Writable input is copied, so
     a caller can never change a series after the fact; read-only input
-    (a lag or a rename of another series) is shared.
+    (a lag or a rename of another series) is shared. Series compare by
+    identity.
     """
 
-    name: str
-    start: Quarter
-    values: np.ndarray
+    _fields = ("name", "start", "values")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, name: str, start: Quarter, values):
+        values = np.asarray(values, dtype=float)
         if values.flags.writeable:
             values = values.copy()
             values.flags.writeable = False
-        object.__setattr__(self, "values", values)
         if values.ndim != 1:
-            raise DomainError(f"series {self.name!r} values must be one-dimensional")
+            raise DomainError(f"series {name!r} values must be one-dimensional")
         if values.size == 0:
-            raise SampleError(f"series {self.name!r} must hold at least one value")
+            raise SampleError(f"series {name!r} must hold at least one value")
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise DomainError(
-                f"series {self.name!r} has non-finite value at {self.start.offset(int(bad[0]))}"
+                f"series {name!r} has non-finite value at {start.offset(int(bad[0]))}"
             )
+        self.__dict__.update(name=name, start=start, values=values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -149,25 +166,23 @@ def natural_log(s: Series) -> Series:
 CORE_SERIES = ("real_gdp", "cpi", "interest_rate", "stock_index")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Frozen):
     """Named collection of series for one country.
 
     ``span`` is the intersection of the member series' calendars; it is
-    the widest range over which every series has an observation.
+    the widest range over which every series has an observation. Datasets
+    compare by identity.
     """
 
-    country: str
-    series: dict[str, Series] = field(default_factory=dict)
+    _fields = ("country", "series")
 
-    def __post_init__(self):
-        if not self.series:
+    def __init__(self, country: str, series: dict[str, Series] | None = None):
+        if not series:
             raise SampleError("dataset needs at least one series")
-        start, end = common_span(self.series.values())
+        start, end = common_span(series.values())
         if end < start:
-            raise SampleError(
-                f"series of dataset {self.country!r} share no common quarter"
-            )
+            raise SampleError(f"series of dataset {country!r} share no common quarter")
+        self.__dict__.update(country=country, series=series)
 
     @property
     def span(self) -> tuple[Quarter, Quarter]:

@@ -15,28 +15,30 @@ part in sample adjustment like any other series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DomainError, SampleError
 from .ols import solve_ols
+from .records import Record
 from .series import Dataset, Series, lag, natural_log
 
 
-@dataclass(frozen=True)
-class TransformConfig:
-    inflation_target: float = 2.0
-    detrend: str = "hp_filter"  # "hp_filter" reproduces the published tables
-    hp_lambda: float = 1600.0
+class TransformConfig(Record):
+    _fields = ("inflation_target", "detrend", "hp_lambda")
 
-    def __post_init__(self):
-        if not np.isfinite(self.inflation_target):
+    # detrend "hp_filter" reproduces the published tables
+    def __init__(
+        self, inflation_target: float = 2.0, detrend: str = "hp_filter", hp_lambda: float = 1600.0
+    ):
+        if not np.isfinite(inflation_target):
             raise ConfigError("inflation_target must be finite")
-        if self.detrend not in ("linear_trend", "hp_filter"):
-            raise ConfigError(f"unknown detrend method {self.detrend!r}")
-        if not 0 < self.hp_lambda < np.inf:
-            raise ConfigError(f"hp_lambda must be finite and positive, got {self.hp_lambda}")
+        if detrend not in ("linear_trend", "hp_filter"):
+            raise ConfigError(f"unknown detrend method {detrend!r}")
+        if not 0 < hp_lambda < np.inf:
+            raise ConfigError(f"hp_lambda must be finite and positive, got {hp_lambda}")
+        self.__dict__.update(
+            inflation_target=inflation_target, detrend=detrend, hp_lambda=hp_lambda
+        )
 
 
 def yoy_change(s: Series) -> Series:

@@ -182,6 +182,46 @@ class TestFit:
         assert err == ("estimation error: dependent variable is an exact linear "
                        "combination of the regressors\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--reg", "inflation_gap,output_gap,spike", "--cov", "hac"),
+            ("test", "white", "--reg", "inflation_gap,output_gap,spike", "--cov", "hac"),
+            ("fit", "--reg", "inflation_gap,output_gap,interest_rate,rate_spike",
+             "--dep", "s", "--cov", "hac"),
+        ],
+        ids=["fit", "white", "sum-with-spike"],
+    )
+    def test_singular_hac_moment_covariance_is_estimation_error(self, capsys, tmp_path, argv):
+        # the fit matches the one quarter of the dummy `spike` exactly, so the
+        # moment spike * e is rounding noise; so is rate_spike * e minus
+        # interest_rate * e, although neither moment is
+        lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
+        rate = lines[0].split(",").index("interest_rate")
+        rows = [lines[0] + ",spike,rate_spike"]
+        for n, line in enumerate(lines[1:]):
+            spike = 1.0 if n == 60 else 0.0
+            rows.append(f"{line},{spike},{float(line.split(',')[rate]) + spike}")
+        p = tmp_path / "spike.csv"
+        p.write_text("\n".join(rows))
+        code, out, err = run_cli(capsys, *argv, "--csv", str(p))
+        assert code == 1
+        assert out == ""
+        assert err == ("estimation error: singular moment covariance: the moments "
+                       "z_t * e_t are linearly dependent up to rounding\n")
+
+    def test_bandwidth_beyond_weight_precision_is_estimation_error(self, capsys):
+        # every weight 1 - j/m rounds to 1, so S = (X'e)(X'e)'/T, and X'e is
+        # zero up to rounding at the least-squares fit; no residual is small
+        code, out, err = run_cli(
+            capsys, "fit", "--country", "us", "--reg", "inflation_gap,output_gap",
+            "--cov", "hac", "--bandwidth", str(10**19),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == ("estimation error: singular moment covariance: the moments "
+                       "z_t * e_t are linearly dependent up to rounding\n")
+
     def test_duplicate_csv_column_is_error(self, capsys, tmp_path):
         lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
         p = tmp_path / "dup.csv"
@@ -294,6 +334,17 @@ class TestTest:
         assert "Chow" in out
         assert "56.8" in out
 
+    def test_chow_exact_fit_regime_is_estimation_error(self, capsys):
+        # Bank Rate is 0.50 throughout 2009Q3-2016Q2, the second regime
+        code, out, err = run_cli(
+            capsys, "test", "chow", "--country", "uk", "--reg", "inflation_gap",
+            "--sample", "2007Q1:2016Q2", "--break", "2009Q3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == ("estimation error: dependent variable is an exact linear combination "
+                       "of the regressors over the regime 2009Q3..2016Q2\n")
+
     def test_bg_lags(self, capsys):
         code, out, _ = run_cli(
             capsys, "test", "bg", "--country", "us",
@@ -360,3 +411,20 @@ class TestStartup:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env,
         ).stdout
         assert out.strip() == "[]"
+
+    def test_cli_import_builds_no_dataclass(self):
+        # building a dataclass runs exec per generated method, about 1 ms a
+        # class at every cold start
+        probe = (
+            "import sys, taylorlab.cli; "
+            "print('dataclasses' in sys.modules, sorted("
+            "f'{m}.{n}' for m, mod in list(sys.modules.items()) if m.split('.')[0] == 'taylorlab' "
+            "for n, v in vars(mod).items() if isinstance(v, type) "
+            "and hasattr(v, '__dataclass_fields__')))"
+        )
+        src = str(Path(taylorlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.strip() == "False []"

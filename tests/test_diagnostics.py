@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,8 +126,10 @@ class TestChow:
         spec = baseline_spec("us")
         pooled = fit_ols(us_data, spec)
         start, end = pooled.sample
-        fit1 = fit_ols(us_data, replace(spec, sample=(start, break_at.offset(-1))))
-        fit2 = fit_ols(us_data, replace(spec, sample=(break_at, end)))
+        fit1 = fit_ols(us_data, RegressionSpec(spec.dependent, spec.regressors,
+                                               sample=(start, break_at.offset(-1))))
+        fit2 = fit_ols(us_data, RegressionSpec(spec.dependent, spec.regressors,
+                                               sample=(break_at, end)))
         k, T = pooled.n_params, pooled.n_obs
         F = ((pooled.ssr - fit1.ssr - fit2.ssr) / k) / ((fit1.ssr + fit2.ssr) / (T - 2 * k))
         lr = 2.0 * (fit1.log_likelihood + fit2.log_likelihood - pooled.log_likelihood)

@@ -141,6 +141,21 @@ class TestRankChecks:
         with pytest.raises(CollinearityError):
             fit_linear_gmm(d, GmmSpec(RegressionSpec("y", ("x",)), ("z1", "z2")))
 
+    def test_one_quarter_dummy_makes_hac_weighting_singular(self):
+        # a dummy both regressor and instrument: the 2SLS residual of its one
+        # quarter is 0, so its moment is rounding noise and S is singular
+        rng = np.random.default_rng(47)
+        T = 40
+        z1, z2 = rng.normal(size=(2, T))
+        x = z1 + 0.5 * z2 + 0.3 * rng.normal(size=T)
+        d = _toy_dataset({
+            "y": 1.0 + x + rng.normal(size=T), "x": x, "z1": z1, "z2": z2,
+            "spike": np.eye(T)[17],
+        })
+        spec = GmmSpec(RegressionSpec("y", ("x", "spike")), ("z1", "z2", "spike"))
+        with pytest.raises(CollinearityError, match="singular moment covariance"):
+            fit_linear_gmm(d, spec)
+
 
 class TestClassicalWeighting:
     # just identified, the estimate is the IV solution whatever the weighting

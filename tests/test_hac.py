@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from taylorlab.errors import ConfigError, DomainError
-from taylorlab.hac import HacConfig, default_bandwidth, long_run_cov, newey_west_cov
+from taylorlab.errors import CollinearityError, ConfigError, DomainError
+from taylorlab.hac import HacConfig, default_bandwidth, long_run_cov, moment_cov, newey_west_cov
 from taylorlab.ols import RegressionSpec, fit_ols
 
 
@@ -87,6 +87,35 @@ class TestPublishedStandardErrors:
         fit = fit_ols(uk_data, spec)
         assert fit.std_errors[0] == pytest.approx(0.313283, abs=5e-3)
         assert fit.t_stats[0] == pytest.approx(3.920280, rel=0.015)
+
+
+class TestSingularMomentCov:
+    # column 3 is a one-quarter dummy, so its moment is e_40 alone; scaled to
+    # its classical size it is about T * e_40^2 / e'e, here e_40^2
+    def _moments(self, e40):
+        rng = np.random.default_rng(48)
+        T = 100
+        Z = np.column_stack([np.ones(T), rng.normal(size=T), np.eye(T)[40]])
+        e = rng.normal(size=T)
+        e *= np.sqrt(T / (e @ e))
+        e[40] = e40
+        return Z, e
+
+    def test_small_moment_is_kept(self):
+        # 1e-14 of its classical size, well above k * eps = 6.7e-16
+        Z, e = self._moments(1e-7)
+        assert np.all(np.isfinite(np.linalg.inv(moment_cov(Z, e, HacConfig()))))
+
+    def test_rounding_level_moment_raises(self):
+        Z, e = self._moments(1e-17)
+        with pytest.raises(CollinearityError, match="singular moment covariance"):
+            moment_cov(Z, e, HacConfig())
+
+    @pytest.mark.parametrize("cfg", [None, HacConfig()], ids=["classical", "hac"])
+    def test_zero_residuals_raise(self, cfg):
+        Z, e = self._moments(0.0)
+        with pytest.raises(CollinearityError, match="singular moment covariance"):
+            moment_cov(Z, 0.0 * e, cfg)
 
 
 class TestHacConfig:
