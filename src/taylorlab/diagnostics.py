@@ -11,7 +11,7 @@ import numpy as np
 from . import dist
 from .errors import ConfigError, DomainError, SampleError
 from .ols import (
-    CONST, FitResult, RegressionSpec, fit_ols, log_likelihood, reject_exact_fit, solve_ols,
+    CONST, FitResult, RegressionSpec, fit_ols, reject_exact_fit, solve_ols, unit_scale,
 )
 from .records import Record
 from .series import Dataset, Quarter, Series
@@ -110,9 +110,10 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
         reject_exact_fit(ssr[-1], y[rows], f" over the regime {first}..{last}")
     ssr1, ssr2 = ssr
     F = max(((pooled.ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
-    lr = 2.0 * (
-        log_likelihood(ssr1, n1) + log_likelihood(ssr2, T - n1) - pooled.log_likelihood
-    )
+    # 2 (ll1 + ll2 - ll) with the constants cancelled: ratios of variances,
+    # which do not depend on the units of y
+    s2 = pooled.ssr / T
+    lr = n1 * math.log(s2 * n1 / ssr1) + (T - n1) * math.log(s2 * (T - n1) / ssr2)
     return TestReport(
         name=f"Chow Breakpoint Test: {break_at}",
         null_hypothesis="no breaks at specified breakpoints",
@@ -157,8 +158,9 @@ def white_test(fit: FitResult) -> TestReport:
     cols = [np.ones(fit.n_obs)] + regs + [z * z for z in regs]
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
     Xa = np.column_stack(cols)
-    # drop duplicated columns (e.g. a dummy equal to its own square)
-    keep = _distinct_columns(Xa)
+    # drop duplicated columns (e.g. a dummy equal to its own square), each
+    # scaled by a power of two, so that the rule's absolute term is unit-free
+    keep = _distinct_columns(Xa * unit_scale(Xa))
     return _lm_test(
         "Heteroskedasticity Test: White", "homoskedasticity", Xa[:, keep], e * e, len(keep) - 1
     )

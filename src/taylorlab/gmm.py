@@ -1,28 +1,26 @@
 """Linear instrumental-variables GMM with HAC moment weighting.
 
 Estimation is two-step efficient GMM (Hansen 1982) with a constant always
-among the instruments: two-stage least squares (weighting (Z'Z/T)^-1), then
-one weight update that rebuilds the covariance of the moment series
-z_t * e_t (``hac.moment_cov``: classical, or the Bartlett-kernel long-run
-covariance) from the 2SLS residuals and re-solves the quadratic problem.
-The J statistic is evaluated with that updated weighting; the reported
-coefficient covariance (``hac.coef_cov``) re-weights with the final
-residuals, which is the convention that reproduces the published standard
-errors.
+among the instruments. Two-stage least squares regresses X on Z, then y on
+the fitted X. One weight update takes the root M, M'M = S^-1, of the
+covariance S of the moments z_t * e_t at the 2SLS residuals
+(``hac.moment_root``: classical, or the Bartlett-kernel long-run
+covariance) and solves (M Z'X) b = M Z'y. Every solve is ``solve_ols``.
+J = T |M gbar|^2 uses that M; the reported coefficient covariance
+(``hac.coef_cov``) re-weights with the final residuals, which is the
+convention that reproduces the published standard errors.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import dist
-from .errors import CollinearityError, ConfigError
-from .hac import HacConfig, coef_cov, moment_cov
+from .errors import ConfigError
+from .hac import HacConfig, coef_cov, moment_root
 from .ols import (
     CONST, Estimate, RegressionSpec, Term, auto_sample, build_design, coerce_terms, inference,
-    summarize, term_columns,
+    solve_ols, summarize, term_columns,
 )
 from .records import Record
 from .series import Dataset
@@ -59,10 +57,6 @@ class GmmResult(Estimate):
     _fields = Estimate._fields + ("spec", "j_statistic", "j_prob", "instrument_rank")
 
 
-def _solve_gmm(X, Z, y, W):
-    return np.linalg.solve(X.T @ Z @ W @ Z.T @ X, X.T @ Z @ W @ Z.T @ y)
-
-
 def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     """Estimate a linear model by instrumented GMM."""
     base = spec.base
@@ -75,25 +69,23 @@ def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     y, X, sample = build_design(d, base)
     T, k = X.shape
     Z = term_columns(d, spec.instruments, *sample)
-    rank = np.linalg.matrix_rank(Z)
-    if rank < Z.shape[1]:
-        raise CollinearityError("instrument matrix is rank deficient")
-
-    beta = _solve_gmm(X, Z, y, np.linalg.inv(Z.T @ Z / T))
-    W = np.linalg.inv(moment_cov(Z, y - X @ beta, spec.weighting))
-    beta = _solve_gmm(X, Z, y, W)
+    over_id = Z.shape[1] - k
+    labels = tuple(t.label for t in base.regressors)
+    beta = solve_ols(Z @ solve_ols(Z, X, [t.label for t in spec.instruments]), y, labels)
+    M = moment_root(Z, y - X @ beta, spec.weighting)
+    if over_id:  # else just identified: every weighting gives the IV solution
+        beta = solve_ols(M @ (Z.T @ X), M @ (Z.T @ y), labels)
 
     e = y - X @ beta
-    gbar = Z.T @ e / T
-    j_stat = float(T * gbar @ W @ gbar)
-    over_id = Z.shape[1] - k
-    j_prob = dist.chi2_sf(max(j_stat, 0.0), over_id) if over_id > 0 else math.nan
+    g = M @ (Z.T @ e) / T
+    j_stat = float(T * g @ g)
+    j_prob = dist.chi2_sf(j_stat, over_id) if over_id else math.nan
     return GmmResult(
         spec=spec,
-        labels=tuple(t.label for t in base.regressors),
+        labels=labels,
         j_statistic=j_stat,
         j_prob=j_prob,
-        instrument_rank=int(rank),
+        instrument_rank=Z.shape[1],
         sample=sample,
         # reported covariance: re-weight with the final residuals
         **inference(beta, coef_cov(X, Z, e, spec.weighting), T - k),

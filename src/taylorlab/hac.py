@@ -41,39 +41,50 @@ def long_run_cov(u: np.ndarray, m: int) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def moment_cov(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarray:
-    """Covariance S of the moment series z_t * e_t.
+def moment_root(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarray:
+    """Root M, with M'M = S^-1, of the covariance S of the moments z_t * e_t,
+    from the eigendecomposition of S scaled so that each moment has its
+    classical size sqrt(z_j'z_j e'e) / T.
 
-    Classical (``cfg`` None): (e'e/T) Z'Z/T. HAC: the Bartlett long-run
+    Classical (``cfg`` None): S = (e'e/T) Z'Z/T. HAC: the Bartlett long-run
     covariance with ``cfg.bandwidth``, or the sample-size rule when None.
 
-    Raises ``CollinearityError`` when S is singular to rounding: scaled so
-    that each moment has its classical size sqrt(z_j'z_j e'e) / T, its
-    reciprocal condition number is at most k * eps. A one-quarter dummy
-    among the regressors does this (the fit matches its quarter exactly, so
-    its moment is rounding noise), and so does a bandwidth so large that
-    every Bartlett weight rounds to 1, which leaves S = (Z'e)(Z'e)'/T.
+    Raises ``CollinearityError`` when the scaled S is singular to rounding:
+    its reciprocal condition number is at most k * eps or, as k = 1 needs,
+    a diagonal is at most n * eps for n kernel terms summed (min(m, T), or 1
+    if classical). A one-quarter dummy among the regressors does this (its
+    moment is rounding noise), and so does a bandwidth so large that every
+    Bartlett weight rounds to 1, which leaves S = (Z'e)(Z'e)'/T.
     """
     T, k = Z.shape
     ee = float(e @ e)
     if cfg is None:
-        S = ee / T * (Z.T @ Z) / T
+        S, n = ee / T * (Z.T @ Z) / T, 1
     else:
-        S = long_run_cov(Z * e[:, None], cfg.bandwidth or default_bandwidth(T))
+        m = cfg.bandwidth or default_bandwidth(T)
+        S, n = long_run_cov(Z * e[:, None], m), min(m, T)
     scale = np.sqrt(np.einsum("ij,ij->j", Z, Z) * ee) / T
-    w = np.linalg.eigvalsh(S / np.outer(scale, scale)) if ee else (0.0,)
-    if w[0] <= k * np.finfo(float).eps * w[-1]:
+    scale[scale == 0] = 1.0  # a zero moment leaves a zero row, which the rcond test rejects
+    S = S / np.outer(scale, scale)
+    w, V = np.linalg.eigh(S)
+    eps = np.finfo(float).eps
+    if w[0] <= k * eps * w[-1]:
         raise CollinearityError(
             "singular moment covariance: the moments z_t * e_t are linearly dependent "
             "up to rounding"
         )
-    return S
+    if np.diag(S).min() <= n * eps:
+        raise CollinearityError(
+            "singular moment covariance: the variance of a moment z_t * e_t is rounding noise"
+        )
+    return (V / np.sqrt(w)).T / scale
 
 
 def coef_cov(
     X: np.ndarray, Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None
 ) -> np.ndarray:
-    """Coefficient covariance T (X'Z S^-1 Z'X)^-1 with S = moment_cov(Z, e, cfg).
+    """Coefficient covariance T (X'Z S^-1 Z'X)^-1 = T (A'A)^-1, from the R
+    factor of A = M Z'X with M = moment_root(Z, e, cfg).
 
     With Z = X (OLS as GMM with the regressors as their own instruments)
     this is s^2 (X'X)^-1 for classical and the Newey-West sandwich
@@ -81,10 +92,8 @@ def coef_cov(
     factor T/(T-k), which the published standard errors are built with.
     """
     T, k = X.shape
-    XZ = X.T @ Z
-    V = T * np.linalg.inv(XZ @ np.linalg.solve(moment_cov(Z, e, cfg), XZ.T))
-    V *= T / (T - k)
-    return 0.5 * (V + V.T)
+    Ri = np.linalg.inv(np.linalg.qr(moment_root(Z, e, cfg) @ (Z.T @ X), mode="r"))
+    return T * T / (T - k) * (Ri @ Ri.T)
 
 
 def newey_west_cov(X: np.ndarray, e: np.ndarray, m: int) -> np.ndarray:

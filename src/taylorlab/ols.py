@@ -135,11 +135,14 @@ class FitResult(Estimate):
 
 def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
     """The package's one least-squares solve, via QR. Needs more rows than
-    columns, and names rank-deficient columns by ``labels`` (else index)."""
+    columns, and names rank-deficient columns by ``labels`` (else index).
+    Columns are scaled by powers of two (``unit_scale``), so that the rank
+    rule is unit-free, and beta, a vector or matrix, is unscaled exactly."""
     T, k = X.shape
     if T <= k:
         raise SampleError(f"sample of {T} observations cannot identify {k} parameters")
-    Q, R = np.linalg.qr(X)
+    s = unit_scale(X)
+    Q, R = np.linalg.qr(X * s)
     diag = np.abs(np.diag(R))
     tol = 1e-10 * diag.max() if diag.size else 0.0
     bad = np.nonzero(diag <= tol)[0]
@@ -148,7 +151,13 @@ def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
         raise CollinearityError(
             f"design matrix is rank deficient in columns: {', '.join(names[i] for i in bad)}"
         )
-    return np.linalg.solve(R, Q.T @ y)
+    return (s * np.linalg.solve(R, Q.T @ y).T).T
+
+
+def unit_scale(X: np.ndarray) -> np.ndarray:
+    """Per-column powers of two 2^-e, e from ``np.frexp`` of the column's
+    largest |x|, which bring that into [0.5, 1); 1 for a zero column."""
+    return np.ldexp(1.0, -np.frexp(np.abs(X).max(axis=0))[1])
 
 
 def auto_sample(d: Dataset, terms) -> tuple[Quarter, Quarter]:

@@ -17,6 +17,15 @@ def _fmt_p(p: float) -> str:
     return "0.0000" if p < 5e-5 else f"{p:.4f}"
 
 
+def _fmt_num(v: float, prob: bool = False) -> str:
+    """A number for a 14-wide cell: ``.6f`` when that fits in 13 characters
+    and does not round a nonzero value to zero, else 6 significant digits,
+    which always fit, so that neighbouring cells stay separate tokens. A
+    probability (``prob``) keeps ``.6f``: tiny p-values print as zero."""
+    text = f"{v:.6f}"
+    return text if prob or (len(text) <= 13 and (float(text) or not v)) else f"{v:.6g}"
+
+
 # The summary block as (field, printed label) rows in print order: shared
 # rows, then the least-squares or the GMM rows. A row without a label is
 # flattened but not printed.
@@ -125,15 +134,16 @@ def render_table(result, fmt: str = "text") -> str:
         ]
         for i, lab in enumerate(result.labels):
             lines.append(
-                f"{lab:<18}{result.coefficients[i]:>14.6f}{result.std_errors[i]:>14.6f}"
-                f"{result.t_stats[i]:>14.6f}{_fmt_p(result.p_values[i]):>10}"
+                f"{lab:<18}{_fmt_num(result.coefficients[i]):>14}"
+                f"{_fmt_num(result.std_errors[i]):>14}{_fmt_num(result.t_stats[i]):>14}"
+                f"{_fmt_p(result.p_values[i]):>10}"
             )
         lines.append("")
         for key, label in _summary_rows(result):
             value = float(getattr(result, key))
             if label is None or math.isnan(value):
                 continue
-            text = _fmt_p(value) if label.startswith("Prob") else f"{value:.6f}"
+            text = _fmt_p(value) if label.startswith("Prob") else _fmt_num(value)
             lines.append(f"{label:<24}{text:>14}")
         return "\n".join(lines) + "\n"
 
@@ -142,9 +152,9 @@ def render_table(result, fmt: str = "text") -> str:
         lines.append(f"{'Statistic':<12}{'Value':>14}{'df':>12}{'Prob.':>10}")
         for s in result.statistics:
             df = ",".join(str(v) for v in s.df)
-            lines.append(f"{s.form:<12}{s.value:>14.6f}{df:>12}{_fmt_p(s.p):>10}")
+            lines.append(f"{s.form:<12}{_fmt_num(s.value):>14}{df:>12}{_fmt_p(s.p):>10}")
         for key, value in result.details:
-            lines.append(f"{key:<26}{value:>14.6f}")
+            lines.append(f"{key:<26}{_fmt_num(value):>14}")
         return "\n".join(lines) + "\n"
 
     raise ConfigError(f"cannot render object of type {type(result).__name__}")
@@ -232,8 +242,9 @@ def render_diff(diff: GoldenDiff) -> str:
     ]
     for r in diff.rows:
         mark = "ok  " if r.passed else "FAIL"
+        prob = r.label.startswith("p:") or r.label.endswith("_prob")
         lines.append(
-            f"  {mark} {r.label:<24} observed {r.observed:>14.6f}"
-            f"  expected {r.expected:>14.6f}"
+            f"  {mark} {r.label:<24} observed {_fmt_num(r.observed, prob):>14}"
+            f"  expected {_fmt_num(r.expected, prob):>14}"
         )
     return "\n".join(lines) + "\n"

@@ -167,12 +167,8 @@ CORE_SERIES = ("real_gdp", "cpi", "interest_rate", "stock_index")
 
 
 class Dataset(Frozen):
-    """Named collection of series for one country.
-
-    ``span`` is the intersection of the member series' calendars; it is
-    the widest range over which every series has an observation. Datasets
-    compare by identity.
-    """
+    """Named collection of series for one country, whose calendars share
+    at least one quarter. Datasets compare by identity."""
 
     _fields = ("country", "series")
 
@@ -184,19 +180,12 @@ class Dataset(Frozen):
             raise SampleError(f"series of dataset {country!r} share no common quarter")
         self.__dict__.update(country=country, series=series)
 
-    @property
-    def span(self) -> tuple[Quarter, Quarter]:
-        return common_span(self.series.values())
-
     def require(self, *names: str) -> None:
         missing = [n for n in names if n not in self.series]
         if missing:
             raise SampleError(
                 f"dataset {self.country!r} is missing series: {', '.join(missing)}"
             )
-
-    def require_core(self) -> None:
-        self.require(*CORE_SERIES)
 
     def with_series(self, *added: Series) -> "Dataset":
         merged = dict(self.series)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, SampleError
 from .ols import solve_ols
 from .records import Record
-from .series import Dataset, Series, lag, natural_log
+from .series import CORE_SERIES, Dataset, Series, lag, natural_log
 
 
 class TransformConfig(Record):
@@ -127,7 +127,7 @@ def build_taylor_dataset(d: Dataset, cfg: TransformConfig = TransformConfig()) -
     calendar because of the year-over-year construction lags, which is what
     shrinks the common estimation sample.
     """
-    d.require_core()
+    d.require(*CORE_SERIES)
     infl = inflation_gap(d["cpi"], cfg)
     if cfg.detrend == "hp_filter":
         gap = hp_filter_gap(d["real_gdp"], cfg.hp_lambda)

@@ -222,6 +222,55 @@ class TestFit:
         assert err == ("estimation error: singular moment covariance: the moments "
                        "z_t * e_t are linearly dependent up to rounding\n")
 
+    def test_single_moment_at_rounding_level_is_estimation_error(self, capsys):
+        # k = 1, so the condition number of S is 1; the kernel sum cancels to
+        # 9.4e-15 of the moment's classical size, below min(m, T) * eps
+        code, out, err = run_cli(
+            capsys, "fit", "--country", "us", "--reg", "const",
+            "--cov", "hac", "--bandwidth", str(10**17),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == ("estimation error: singular moment covariance: the variance of a "
+                       "moment z_t * e_t is rounding noise\n")
+
+    @staticmethod
+    def _gdp_scaled(tmp_path, factor):
+        lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
+        col = lines[0].split(",").index("real_gdp")
+        rows = [lines[0]]
+        for line in lines[1:]:
+            cells = line.split(",")
+            cells[col] = repr(float(cells[col]) * factor)
+            rows.append(",".join(cells))
+        p = tmp_path / "gdp.csv"
+        p.write_text("\n".join(rows))
+        return str(p)
+
+    def test_gdp_in_dollars_prints_separate_cells(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "fit", "--csv", self._gdp_scaled(tmp_path, 1e9),
+            "--dep", "real_gdp", "--reg", "interest_rate",
+        )
+        assert code == 0
+        rows = out.splitlines()[3:6]
+        assert rows[1].split() == ["interest_rate", "-8.66659e+11", "8.04307e+10",
+                                   "-10.775236", "0.0000"]
+        assert rows[2].split()[0] == "C" and len(rows[2].split()) == 5
+
+    @pytest.mark.parametrize("factor", [1.0, 1e3, 1e6, 1e9], ids=["billions", "millions",
+                                                                  "thousands", "dollars"])
+    def test_gdp_in_any_unit_gives_the_same_t(self, capsys, tmp_path, factor):
+        # the rank rule is unit-free, and a small standard error is not 0.000000
+        code, out, _ = run_cli(
+            capsys, "fit", "--csv", self._gdp_scaled(tmp_path, factor),
+            "--reg", "real_gdp,stock_index",
+        )
+        assert code == 0
+        row = out.splitlines()[4].split()
+        assert row[0] == "real_gdp" and row[3] == "-11.314449"
+        assert float(row[2]) > 0
+
     def test_duplicate_csv_column_is_error(self, capsys, tmp_path):
         lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
         p = tmp_path / "dup.csv"

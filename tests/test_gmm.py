@@ -138,8 +138,18 @@ class TestRankChecks:
         d = _toy_dataset(
             {"y": rng.normal(size=40), "x": rng.normal(size=40), "z1": z, "z2": z}
         )
-        with pytest.raises(CollinearityError):
+        with pytest.raises(CollinearityError, match="columns: z2$"):
             fit_linear_gmm(d, GmmSpec(RegressionSpec("y", ("x",)), ("z1", "z2")))
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-13], ids=["duplicate", "near-duplicate"])
+    def test_regressor_repeated_under_another_name(self, us_data, rel):
+        # 2SLS regresses y on the fitted regressors, where rate2 adds nothing
+        rate = us_data["interest_rate"]
+        t = np.arange(len(rate.values))
+        d = us_data.with_series(Series("rate2", rate.start, rate.values * (1 + rel * t)))
+        spec = GmmSpec(RegressionSpec("s", ("interest_rate", "rate2", "output_gap")), _INSTRUMENTS)
+        with pytest.raises(CollinearityError, match="columns: rate2$"):
+            fit_linear_gmm(d, spec)
 
     def test_one_quarter_dummy_makes_hac_weighting_singular(self):
         # a dummy both regressor and instrument: the 2SLS residual of its one
@@ -171,3 +181,50 @@ class TestClassicalWeighting:
         Z = np.column_stack([np.ones(T), d["z1"].values])
         oracle = np.linalg.solve(Z.T @ X, Z.T @ y)
         assert np.allclose(gmm.coefficients, oracle, atol=1e-8)
+
+
+def _gmm_oracle(y, X, Z, moment_cov):
+    """Two-step GMM by its textbook normal equations with explicit inverses:
+    beta = (X'Z W Z'X)^-1 X'Z W Z'y, first with W = (Z'Z)^-1, then with
+    W = S^-1 at the 2SLS residuals; J at that W; covariance T/(T-k) T
+    (X'Z S^-1 Z'X)^-1 at the final residuals."""
+    T, k = X.shape
+
+    def solve(W):
+        return np.linalg.solve(X.T @ Z @ W @ Z.T @ X, X.T @ Z @ W @ Z.T @ y)
+
+    W = np.linalg.inv(moment_cov(Z, y - X @ solve(np.linalg.inv(Z.T @ Z))))
+    beta = solve(W)
+    e = y - X @ beta
+    gbar = Z.T @ e / T
+    V = T * T / (T - k) * np.linalg.inv(X.T @ Z @ np.linalg.inv(moment_cov(Z, e)) @ Z.T @ X)
+    return beta, T * gbar @ W @ gbar, V
+
+
+class TestOracle:
+    @pytest.mark.parametrize("weighting", [None, HacConfig()], ids=["classical", "hac"])
+    @pytest.mark.parametrize(
+        "instruments", [("z1",), ("z1", "z2", "z3")], ids=["just", "over"]
+    )
+    def test_matches_normal_equations(self, weighting, instruments):
+        from taylorlab.hac import default_bandwidth, long_run_cov
+
+        def moment_cov(Z, e):
+            T = len(e)
+            if weighting is None:
+                return (e @ e) / T * (Z.T @ Z) / T
+            return long_run_cov(Z * e[:, None], default_bandwidth(T))
+
+        rng = np.random.default_rng(49)
+        d = _random_iv_dataset(rng)
+        gmm = fit_linear_gmm(
+            d, GmmSpec(RegressionSpec("y", ("const", "x")), instruments, weighting=weighting)
+        )
+        y = np.asarray(d["y"].values)
+        X = np.column_stack([np.ones(len(y)), d["x"].values])
+        Z = np.column_stack([np.ones(len(y))] + [d[z].values for z in instruments])
+        beta, j_stat, V = _gmm_oracle(y, X, Z, moment_cov)
+        assert np.allclose(gmm.coefficients, beta, rtol=1e-10, atol=0)
+        assert np.allclose(gmm.covariance, V, rtol=1e-10, atol=0)
+        # just identified, J is rounding noise on both sides
+        assert gmm.j_statistic == pytest.approx(j_stat, rel=1e-10, abs=1e-20)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taylorlab.errors import CollinearityError, ConfigError, DomainError
-from taylorlab.hac import HacConfig, default_bandwidth, long_run_cov, moment_cov, newey_west_cov
+from taylorlab.hac import HacConfig, default_bandwidth, long_run_cov, moment_root, newey_west_cov
 from taylorlab.ols import RegressionSpec, fit_ols
 
 
@@ -101,21 +101,53 @@ class TestSingularMomentCov:
         e[40] = e40
         return Z, e
 
+    @pytest.mark.parametrize("cfg", [None, HacConfig()], ids=["classical", "hac"])
+    def test_root_inverts_moment_covariance(self, cfg):
+        Z, e = self._moments(1.0)
+        T = len(e)
+        if cfg is None:
+            S = (e @ e) / T * (Z.T @ Z) / T
+        else:
+            S = long_run_cov(Z * e[:, None], default_bandwidth(T))
+        M = moment_root(Z, e, cfg)
+        assert np.allclose(M.T @ M @ S, np.eye(3), rtol=0, atol=1e-12)
+
     def test_small_moment_is_kept(self):
         # 1e-14 of its classical size, well above k * eps = 6.7e-16
         Z, e = self._moments(1e-7)
-        assert np.all(np.isfinite(np.linalg.inv(moment_cov(Z, e, HacConfig()))))
+        assert np.all(np.isfinite(moment_root(Z, e, HacConfig())))
 
     def test_rounding_level_moment_raises(self):
         Z, e = self._moments(1e-17)
         with pytest.raises(CollinearityError, match="singular moment covariance"):
-            moment_cov(Z, e, HacConfig())
+            moment_root(Z, e, HacConfig())
+
+    @pytest.mark.parametrize("m,raises", [(10**17, True), (10**12, False)])
+    def test_single_moment_at_rounding_level_raises(self, m, raises):
+        # one moment, so the condition number is 1: at m = 1e17 every weight
+        # rounds to 1 and the kernel sum leaves (sum e)^2 / T, rounding noise
+        # for least-squares residuals about a constant; at 1e12 it is kept
+        e = np.random.default_rng(49).normal(size=100)
+        e -= e.mean()
+        Z = np.ones((100, 1))
+        if raises:
+            with pytest.raises(CollinearityError, match="variance of a moment"):
+                moment_root(Z, e, HacConfig(m))
+        else:
+            assert np.isfinite(moment_root(Z, e, HacConfig(m))).all()
+
+    @pytest.mark.parametrize("cfg", [None, HacConfig()], ids=["classical", "hac"])
+    def test_zero_instrument_raises(self, cfg):
+        Z, e = self._moments(1.0)
+        Z[:, 1] = 0.0
+        with pytest.raises(CollinearityError, match="singular moment covariance"):
+            moment_root(Z, e, cfg)
 
     @pytest.mark.parametrize("cfg", [None, HacConfig()], ids=["classical", "hac"])
     def test_zero_residuals_raise(self, cfg):
         Z, e = self._moments(0.0)
         with pytest.raises(CollinearityError, match="singular moment covariance"):
-            moment_cov(Z, 0.0 * e, cfg)
+            moment_root(Z, 0.0 * e, cfg)
 
 
 class TestHacConfig:

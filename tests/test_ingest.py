@@ -16,7 +16,7 @@ from taylorlab.ingest import (
     fetch_series,
     parse_quarterly_csv,
 )
-from taylorlab.series import Quarter
+from taylorlab.series import Quarter, common_span
 
 
 class TestParseQuarterToken:
@@ -45,7 +45,7 @@ class TestEmbeddedDatasets:
         q = Quarter(1990, 1)
         assert d["real_gdp"].at(q) == 9358.289
         assert d["cpi"].at(q) == 128.033
-        assert d.span == (Quarter(1990, 1), Quarter(2020, 1))
+        assert common_span(d.series.values()) == (Quarter(1990, 1), Quarter(2020, 1))
         assert len(d["cpi"].values) == 121
 
     def test_uk_first_row_values(self):

@@ -10,6 +10,7 @@ from taylorlab.ols import RegressionSpec, fit_ols
 from taylorlab.report import (
     GoldenCell,
     GoldenTable,
+    _fmt_num,
     compare_golden,
     flatten,
     load_golden,
@@ -172,3 +173,30 @@ class TestRenderDiff:
         golden = GoldenTable(1, "us", {"coef:inflation_gap": GoldenCell(9.9, 1e-9, 1e-9)})
         text = render_diff(compare_golden(us_fit, golden))
         assert "FAIL" in text
+
+
+class TestNumberFormat:
+    @pytest.mark.parametrize("value,text", [
+        (2.890802, "2.890802"),
+        (-999999.0, "-999999"),
+        (999999.0, "999999.000000"),
+        (138555569.773041, "1.38556e+08"),
+        (-866659422733.9508, "-8.66659e+11"),
+        (1.0697e-07, "1.0697e-07"),
+        (-4e-7, "-4e-07"),
+        (6e-7, "0.000001"),
+        (-1.234567e-100, "-1.23457e-100"),
+        (0.0, "0.000000"),
+    ])
+    def test_fixed_unless_it_overflows_or_hides_the_value(self, value, text):
+        assert _fmt_num(value) == text
+        assert len(text) <= 13
+
+    def test_diff_keeps_fixed_point_probabilities(self, us_fit):
+        golden = GoldenTable(1, "us", {
+            "p:C": GoldenCell(0.0, 1e-4, None),
+            "ssr": GoldenCell(1e12, None, 1e-6),
+        })
+        text = render_diff(compare_golden(us_fit, golden))
+        assert f"p:C{' ' * 22}observed {'0.000000':>14}  expected {'0.000000':>14}" in text
+        assert f"expected {'1e+12':>14}" in text

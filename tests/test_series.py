@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from taylorlab.errors import DomainError, SampleError
-from taylorlab.series import Dataset, Quarter, Series, align_sample, lag, natural_log
+from taylorlab.series import (
+    Dataset, Quarter, Series, align_sample, common_span, lag, natural_log,
+)
 
 
 class TestQuarter:
@@ -185,7 +187,7 @@ class TestDataset:
                 "b": Series("b", Quarter(1990, 3), (1.0,) * 8),
             },
         )
-        assert d.span == (Quarter(1990, 3), Quarter(1991, 4))
+        assert common_span(d.series.values()) == (Quarter(1990, 3), Quarter(1991, 4))
 
     def test_disjoint_series_raise(self):
         with pytest.raises(SampleError):
