@@ -11,7 +11,7 @@ import numpy as np
 from . import dist
 from .errors import ConfigError, DomainError, SampleError
 from .ols import (
-    CONST, FitResult, RegressionSpec, fit_ols, reject_exact_fit, solve_ols, unit_scale,
+    CONST, FitResult, RegressionSpec, fit_ols, reject_exact_fit, solve_ols,
 )
 from .records import Record
 from .series import Dataset, Quarter, Series
@@ -159,8 +159,10 @@ def white_test(fit: FitResult) -> TestReport:
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
     Xa = np.column_stack(cols)
     # drop duplicated columns (e.g. a dummy equal to its own square), each
-    # scaled by a power of two, so that the rule's absolute term is unit-free
-    keep = _distinct_columns(Xa * unit_scale(Xa))
+    # divided by its largest |x|, so that the rule, absolute term included,
+    # is unit-free; a zero column (two disjoint dummies' product) stays zero
+    peak = np.abs(Xa).max(axis=0)
+    keep = _distinct_columns(Xa / np.where(peak > 0, peak, 1.0))
     return _lm_test(
         "Heteroskedasticity Test: White", "homoskedasticity", Xa[:, keep], e * e, len(keep) - 1
     )

@@ -14,14 +14,14 @@ import io
 import json
 import os
 import re
-import tempfile
-import urllib.parse
-from importlib import resources
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FetchError, IngestError
 from .records import Frozen, Record
 from .series import _QUARTER_RE, CORE_SERIES, Dataset, Quarter, Series
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 _ISO_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])-\d{2}$")
 
@@ -108,7 +108,9 @@ def embedded_dataset(country: str) -> Dataset:
     country = country.lower()
     if country not in ("us", "uk"):
         raise ConfigError(f"no embedded dataset for country {country!r}")
-    text = (resources.files("taylorlab") / "data" / f"{country}.csv").read_text()
+    path = os.path.join(os.path.dirname(__file__), "data", f"{country}.csv")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     return parse_quarterly_csv(text, country)
 
 
@@ -164,6 +166,8 @@ def _cache_key(base_url: str, series_id: str) -> str:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data``; on failure no temporary file is left."""
+    import tempfile  # imported here, as are pathlib and urllib.parse: only a fetch needs them
+
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
@@ -195,6 +199,9 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
     cache that cannot be created, written or read raises ``FetchError``
     naming the path. ``http_get`` may be injected for testing.
     """
+    import urllib.parse
+    from pathlib import Path
+
     api_key = os.environ.get(desc.remote.api_key_env, "")
     if not api_key:
         raise ConfigError(f"remote source needs an API key in ${desc.remote.api_key_env}")

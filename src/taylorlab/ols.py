@@ -209,7 +209,10 @@ def summarize(y: np.ndarray, e: np.ndarray, k: int, has_constant: bool) -> dict:
     """
     T = len(y)
     ssr = float(e @ e)
-    tss = float(np.sum((y - y.mean()) ** 2)) if has_constant else float(y @ y)
+    mean = float(y.mean())
+    dev = y - mean
+    dev2 = float(np.sum(dev * dev))  # pairwise, as np.std sums it
+    tss = dev2 if has_constant else float(y @ y)
     reject_exact_fit(ssr, y)
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
@@ -222,8 +225,8 @@ def summarize(y: np.ndarray, e: np.ndarray, k: int, has_constant: bool) -> dict:
         "adj_r2": adj_r2,
         "se_regression": math.sqrt(ssr / (T - k)),
         "durbin_watson": dw,
-        "mean_dep": float(y.mean()),
-        "sd_dep": float(np.std(y, ddof=1)),
+        "mean_dep": mean,
+        "sd_dep": math.sqrt(dev2 / (T - 1)),
     }
 
 
@@ -237,7 +240,7 @@ def inference(beta: np.ndarray, V: np.ndarray, df: int) -> dict:
         "covariance": V,
         "std_errors": se,
         "t_stats": t_stats,
-        "p_values": np.array([dist.student_t_sf2(t, df) for t in t_stats]),
+        "p_values": np.array([dist.student_t_sf2(t, df) for t in t_stats.tolist()]),
     }
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
+import os
 
 from .diagnostics import TestReport
 from .errors import ConfigError
@@ -63,11 +63,15 @@ def flatten(result) -> dict:
     """Flat label -> value view of a result, used for golden lookups."""
     if isinstance(result, Estimate):
         out = {}
-        for i, lab in enumerate(result.labels):
-            out[f"coef:{lab}"] = float(result.coefficients[i])
-            out[f"se:{lab}"] = float(result.std_errors[i])
-            out[f"t:{lab}"] = float(result.t_stats[i])
-            out[f"p:{lab}"] = float(result.p_values[i])
+        columns = zip(
+            result.labels, result.coefficients.tolist(), result.std_errors.tolist(),
+            result.t_stats.tolist(), result.p_values.tolist(),
+        )
+        for lab, coef, se, t, p in columns:
+            out[f"coef:{lab}"] = coef
+            out[f"se:{lab}"] = se
+            out[f"t:{lab}"] = t
+            out[f"p:{lab}"] = p
         for key, _ in _summary_rows(result):
             out[key] = float(getattr(result, key))
         return out
@@ -95,10 +99,10 @@ def to_dict(result) -> dict:
             "kind": "fit" if isinstance(result, FitResult) else "gmm",
             "sample": [str(result.sample[0]), str(result.sample[1])],
             "labels": list(result.labels),
-            "coefficients": [float(v) for v in result.coefficients],
-            "std_errors": [float(v) for v in result.std_errors],
-            "t_stats": [float(v) for v in result.t_stats],
-            "p_values": [float(v) for v in result.p_values],
+            "coefficients": result.coefficients.tolist(),
+            "std_errors": result.std_errors.tolist(),
+            "t_stats": result.t_stats.tolist(),
+            "p_values": result.p_values.tolist(),
         }
         d.update({k: _json_number(v) for k, v in flatten(result).items()})
         return d
@@ -204,9 +208,10 @@ class GoldenDiff(Record):
 
 def load_golden(table_id: int) -> GoldenTable:
     """Load a shipped golden table by id (1..17)."""
-    path = resources.files("taylorlab") / "golden" / f"table{table_id:02d}.json"
+    path = os.path.join(os.path.dirname(__file__), "golden", f"table{table_id:02d}.json")
     try:
-        payload = json.loads(path.read_text())
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"no golden table with id {table_id}") from None
     cells = {

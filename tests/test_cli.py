@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import taylorlab
@@ -477,3 +478,21 @@ class TestStartup:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env,
         ).stdout
         assert out.strip() == "False []"
+
+    def test_clean_cli_import_skips_fetch_and_resource_modules(self):
+        # without ``site`` (-S) nothing is preloaded by a .pth file, as in a
+        # user's interpreter; package data is opened relative to __file__,
+        # and only a remote fetch needs tempfile, pathlib and urllib.parse
+        modules = ("importlib.resources", "pathlib", "tempfile", "urllib.parse")
+        probe = (
+            "import sys, taylorlab.cli; "
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))"
+        )
+        src = str(Path(taylorlab.__file__).resolve().parents[1])
+        site_packages = str(Path(np.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, site_packages])}
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "[]"

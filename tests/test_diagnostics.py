@@ -214,6 +214,27 @@ class TestWhite:
             _aux_obs_r2(np.column_stack(cols), e * e), rel=1e-8
         )
 
+    @pytest.mark.parametrize("unit", [1.0, 3.0, 7.7])
+    def test_duplicate_rule_is_unit_free(self, unit):
+        # a = x1**2 with its largest value just below 1, and x2 = a * (1 + 5e-6):
+        # a and x2 peak on either side of a power of two, so a rule applied to
+        # columns scaled by powers of two kept both (and the exactly collinear
+        # pair then raised) at unit 1 but not at 3 or 7.7; with each column
+        # divided by its own largest |x|, the auxiliary a is dropped at every unit
+        rng = np.random.default_rng(70)
+        T = 60
+        a = rng.uniform(0.1, 1.0, size=T)
+        a[0] = 1.0 - 1e-7
+        x1 = np.sqrt(a) * unit
+        x2 = x1 * x1 * (1.0 + 5e-6)
+        d = _toy_dataset({"y": x1 + rng.normal(size=T), "x1": x1, "x2": x2})
+        fit = fit_ols(d, RegressionSpec("y", ("x1", "x2")))
+        rep = white_test(fit)
+        e = np.asarray(fit.residuals.values)
+        Xa = np.column_stack([np.ones(T), x1, x2, x2 * x2, x1 * x2])
+        assert rep.stat("obs_r2").df == (4,)
+        assert rep.stat("obs_r2").value == pytest.approx(_aux_obs_r2(Xa, e * e), rel=1e-8)
+
     def test_keep_set_matches_allclose_loop(self):
         rng = np.random.default_rng(69)
         scales = (1.0, -1.0, 1 + 1e-6, 1 + 5e-6, 1 + 9.99e-6, 1 + 1e-5, 1 - 1e-5,

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylorlab.errors import CollinearityError, ConfigError, SampleError
 from taylorlab.hac import HacConfig
-from taylorlab.ols import RegressionSpec, Term, fit_ols, solve_ols
+from taylorlab.ols import RegressionSpec, Term, fit_ols, solve_ols, summarize
 from taylorlab.series import Dataset, Quarter, Series
 
 
@@ -69,6 +71,31 @@ class TestSolveOls:
         X = np.column_stack([np.ones(10), x, 2 * x])
         with pytest.raises(CollinearityError, match="double"):
             solve_ols(X, x, ("C", "x", "double"))
+
+
+class TestSummarize:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        T=st.integers(2, 400),
+        magnitude=st.floats(-8.0, 8.0),
+        offset=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+        has_constant=st.booleans(),
+    )
+    def test_dependent_moments_match_numpy_bit_for_bit(
+        self, T, magnitude, offset, seed, has_constant
+    ):
+        # mean_dep, sd_dep and the centred sum behind R^2 come from one pass
+        # over y - mean; each must equal numpy's own figure exactly
+        rng = np.random.default_rng(seed)
+        scale = 10.0**magnitude
+        y = scale * (offset + rng.normal(size=T))
+        e = scale * rng.normal(size=T)
+        stats = summarize(y, e, 1, has_constant)
+        assert stats["mean_dep"] == y.mean()
+        assert stats["sd_dep"] == np.std(y, ddof=1)
+        tss = np.sum((y - y.mean()) ** 2) if has_constant else y @ y
+        assert stats["r2"] == 1.0 - (e @ e) / tss
 
 
 class TestFitOls:
