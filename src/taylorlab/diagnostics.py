@@ -11,7 +11,7 @@ import numpy as np
 from . import dist
 from .errors import ConfigError, DomainError, SampleError
 from .ols import (
-    CONST, FitResult, RegressionSpec, fit_ols, reject_exact_fit, solve_ols,
+    CONST, FitResult, RegressionSpec, build_design, reject_exact_fit, solve_ols,
 )
 from .records import Record
 from .series import Dataset, Quarter, Series
@@ -91,28 +91,32 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     """Chow test for a structural break at a known quarter.
 
     The pre-break regime ends the quarter before ``break_at``; the second
-    regime starts at ``break_at``. Each regime is solved on its rows of the
-    pooled design, and a regime that is an exact fit raises, as a fit does.
-    Reports F, the likelihood ratio, and the Wald form k*F.
+    regime starts at ``break_at``. The pooled model and each regime, on its
+    rows of the pooled design, are solved for their SSRs alone, and any of
+    them that is an exact fit raises, as a fit does. The statistics are
+    built from SSRs, so ``spec.covariance`` plays no part. Reports F, the
+    likelihood ratio, and the Wald form k*F.
     """
-    pooled = fit_ols(d, spec)
-    start, end = pooled.sample
-    T, k = pooled.n_obs, pooled.n_params
+    y, X, (start, end) = build_design(d, spec)
+    T, k = X.shape
+    labels = [t.label for t in spec.regressors]
+    e = y - X @ solve_ols(X, y, labels)
+    ssr = float(e @ e)
+    reject_exact_fit(ssr, y)
     if not (start < break_at <= end):
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
-    X, y = pooled.x_matrix, pooled.y_vector
     n1 = break_at - start
-    ssr = []
+    regimes = []
     for rows, first, last in ((slice(None, n1), start, break_at.offset(-1)),
                               (slice(n1, None), break_at, end)):
-        e = y[rows] - X[rows] @ solve_ols(X[rows], y[rows], pooled.labels)
-        ssr.append(float(e @ e))
-        reject_exact_fit(ssr[-1], y[rows], f" over the regime {first}..{last}")
-    ssr1, ssr2 = ssr
-    F = max(((pooled.ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
+        e = y[rows] - X[rows] @ solve_ols(X[rows], y[rows], labels)
+        regimes.append(float(e @ e))
+        reject_exact_fit(regimes[-1], y[rows], f" over the regime {first}..{last}")
+    ssr1, ssr2 = regimes
+    F = max(((ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
     # 2 (ll1 + ll2 - ll) with the constants cancelled: ratios of variances,
     # which do not depend on the units of y
-    s2 = pooled.ssr / T
+    s2 = ssr / T
     lr = n1 * math.log(s2 * n1 / ssr1) + (T - n1) * math.log(s2 * (T - n1) / ssr2)
     return TestReport(
         name=f"Chow Breakpoint Test: {break_at}",
@@ -130,9 +134,13 @@ def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, q: int) -> Tes
     are under test: F on (q, T - p) for p auxiliary columns, and T*R^2 on q."""
     T, p = Xa.shape
     resid = u - Xa @ solve_ols(Xa, u)
+    ssr = float(resid @ resid)
+    reject_exact_fit(ssr, u, " in the auxiliary regression")
     tss = float(np.sum((u - u.mean()) ** 2))
-    r2 = 1.0 - float(resid @ resid) / tss if tss > 0 else 0.0
-    F = (r2 / q) / ((1.0 - r2) / (T - p))
+    # F from SSR / TSS, not 1 - r2, which rounds to 0 below eps/2
+    unexplained = ssr / tss if tss > 0 else 1.0
+    r2 = 1.0 - unexplained
+    F = (r2 / q) / (unexplained / (T - p))
     return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
 
 

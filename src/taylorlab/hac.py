@@ -83,8 +83,10 @@ def moment_root(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarr
 def coef_cov(
     X: np.ndarray, Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None
 ) -> np.ndarray:
-    """Coefficient covariance T (X'Z S^-1 Z'X)^-1 = T (A'A)^-1, from the R
-    factor of A = M Z'X with M = moment_root(Z, e, cfg).
+    """Coefficient covariance T (X'Z S^-1 Z'X)^-1 = T (A'A)^-1 with
+    A = M Z'X and M = moment_root(Z, e, cfg). A square A (OLS, or a
+    just-identified GMM) is inverted directly, as (A'A)^-1 = A^-1 A^-T;
+    an over-identified A goes through the R factor of its QR.
 
     With Z = X (OLS as GMM with the regressors as their own instruments)
     this is s^2 (X'X)^-1 for classical and the Newey-West sandwich
@@ -92,8 +94,9 @@ def coef_cov(
     factor T/(T-k), which the published standard errors are built with.
     """
     T, k = X.shape
-    Ri = np.linalg.inv(np.linalg.qr(moment_root(Z, e, cfg) @ (Z.T @ X), mode="r"))
-    return T * T / (T - k) * (Ri @ Ri.T)
+    A = moment_root(Z, e, cfg) @ (Z.T @ X)
+    Ai = np.linalg.inv(A if A.shape[0] == k else np.linalg.qr(A, mode="r"))
+    return T * T / (T - k) * (Ai @ Ai.T)
 
 
 def newey_west_cov(X: np.ndarray, e: np.ndarray, m: int) -> np.ndarray:

@@ -28,19 +28,18 @@ US_TABLES = tuple(range(1, 10))
 UK_TABLES = tuple(range(10, 18))
 
 # Regressor ordering as printed: constant last in the US baseline table,
-# first in the UK one.
+# first in the UK one. Specs are immutable, so each is built once and shared.
 _BASELINE = {
-    "us": ("inflation_gap", "output_gap", "const"),
-    "uk": ("const", "inflation_gap", "output_gap"),
+    "us": RegressionSpec("it", ("inflation_gap", "output_gap", "const")),
+    "uk": RegressionSpec("it", ("const", "inflation_gap", "output_gap")),
 }
-_AUGMENTED_LAG = ("const", "inflation_gap", "output_gap", "s(-1)")
-_AUGMENTED = ("inflation_gap", "output_gap", "s", "const")
-_GMM_REGRESSORS = ("const", "inflation_gap", "output_gap", "s")
-_GMM_INSTRUMENTS = (
-    "inflation_gap(-1)",
-    "inflation_gap(-2)",
-    "output_gap(-1)",
-    "output_gap(-2)",
+_HAC = RegressionSpec(
+    "it", ("inflation_gap", "output_gap", "s", "const"), covariance=HacConfig()
+)
+_AUGMENTED_LAG = RegressionSpec("it", ("const", "inflation_gap", "output_gap", "s(-1)"))
+_GMM = GmmSpec(
+    RegressionSpec("it", ("const", "inflation_gap", "output_gap", "s")),
+    ("inflation_gap(-1)", "inflation_gap(-2)", "output_gap(-1)", "output_gap(-2)"),
 )
 
 
@@ -58,11 +57,11 @@ def reproduction_dataset(country: str):
 
 
 def baseline_spec(country: str) -> RegressionSpec:
-    return RegressionSpec("it", _BASELINE[country])
+    return _BASELINE[country]
 
 
 def hac_spec() -> RegressionSpec:
-    return RegressionSpec("it", _AUGMENTED, covariance=HacConfig())
+    return _HAC
 
 
 def _baseline_fit(d):
@@ -87,13 +86,11 @@ def _chow(d, year: int):
 
 
 def _augmented_lag_fit(d):
-    return fit_ols(d, RegressionSpec("it", _AUGMENTED_LAG))
+    return fit_ols(d, _AUGMENTED_LAG)
 
 
 def _gmm(d):
-    return fit_linear_gmm(
-        d, GmmSpec(RegressionSpec("it", _GMM_REGRESSORS), _GMM_INSTRUMENTS)
-    )
+    return fit_linear_gmm(d, _GMM)
 
 
 TABLE_RUNNERS = {

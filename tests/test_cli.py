@@ -425,6 +425,37 @@ class TestTest:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_white_exact_auxiliary_fit_is_estimation_error(self, capsys, tmp_path):
+        # fit residuals e with x1 = e^2 make the auxiliary R^2 round to 1
+        lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
+        T = len(lines) - 1
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=T // 2)
+        e = np.concatenate([base, -base, np.zeros(T % 2)])
+        z = rng.normal(size=T)
+        x1, x2 = e * e, z - (z @ e) / (e @ e) * e
+        cols = zip(lines[1:], (1.0 + 0.5 * x1 - 0.3 * x2 + e).tolist(), x1.tolist(), x2.tolist())
+        p = tmp_path / "white.csv"
+        p.write_text("\n".join(
+            [lines[0] + ",y,x1,x2"] + [f"{line},{y!r},{a!r},{b!r}" for line, y, a, b in cols]
+        ))
+        code, out, err = run_cli(
+            capsys, "test", "white", "--csv", str(p), "--dep", "y", "--reg", "x1,x2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == ("estimation error: dependent variable is an exact linear combination "
+                       "of the regressors in the auxiliary regression\n")
+
+    def test_chow_ignores_singular_pooled_moment_covariance(self, capsys):
+        # the statistic is built from SSRs; the pooled fit's HAC covariance,
+        # singular at this bandwidth, is never formed
+        common = ("test", "chow", "--country", "us", "--reg", "const", "--break", "2003Q1")
+        code, out, err = run_cli(capsys, *common, "--cov", "hac", "--bandwidth", str(10**17))
+        assert code == 0 and err == ""
+        assert "133.842715" in out
+        assert (code, out) == run_cli(capsys, *common)[:2]
+
     def test_bg_lag_order_beyond_sample(self, capsys):
         code, out, err = run_cli(
             capsys, "test", "bg", "--country", "us", "--reg", "inflation_gap",

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from taylorlab import dist
+from taylorlab import diagnostics, dist, ols
 from taylorlab.diagnostics import (
     _distinct_columns,
+    _lm_test,
     breusch_godfrey_test,
     chow_breakpoint_test,
     jarque_bera_test,
@@ -13,6 +14,7 @@ from taylorlab.diagnostics import (
     white_test,
 )
 from taylorlab.errors import CollinearityError, ConfigError, DomainError, SampleError
+from taylorlab.hac import HacConfig
 from taylorlab.ols import RegressionSpec, fit_ols
 from taylorlab.series import Dataset, Quarter, Series
 from taylorlab.tables import baseline_spec, hac_spec
@@ -27,6 +29,17 @@ def _toy_dataset(columns: dict, start=Quarter(2000, 1)) -> Dataset:
 def _random_fit(rng, T=50):
     d = _toy_dataset({n: rng.normal(size=T) for n in ("y", "x1", "x2")})
     return fit_ols(d, RegressionSpec("y", ("x1", "x2")))
+
+
+def _exact_white_columns(rng, T):
+    """y, x1, x2 whose least-squares residuals are e, with x1 = e^2: e is
+    a half and its negative (so sum e = sum e^3 = 0), x2 is orthogonal to
+    e, and an odd T adds one zero."""
+    base = rng.normal(size=T // 2)
+    e = np.concatenate([base, -base, np.zeros(T % 2)])
+    z = rng.normal(size=T)
+    x1, x2 = e * e, z - (z @ e) / (e @ e) * e
+    return {"y": 1.0 + 0.5 * x1 - 0.3 * x2 + e, "x1": x1, "x2": x2}
 
 
 class TestWald:
@@ -138,6 +151,38 @@ class TestChow:
         assert rep.stat("LR").value == pytest.approx(lr, rel=1e-12)
         assert rep.stat("F").df == (k, T - 2 * k)
         assert rep.stat("LR").df == rep.stat("chi2").df == (k,)
+
+    @pytest.mark.parametrize("cov", [HacConfig(1), HacConfig(5), HacConfig(10**17)],
+                             ids=["hac1", "hac5", "hac1e17"])
+    def test_report_does_not_depend_on_covariance(self, us_data, cov):
+        # built from SSRs alone; at 1e17 every Bartlett weight rounds to 1,
+        # so the pooled fit's moment covariance is singular
+        spec = baseline_spec("us")
+        hac = RegressionSpec(spec.dependent, spec.regressors, covariance=cov)
+        if cov.bandwidth == 10**17:
+            with pytest.raises(CollinearityError, match="singular moment covariance"):
+                fit_ols(us_data, hac)
+        for q in (Quarter(2003, 1), Quarter(2006, 1)):
+            assert chow_breakpoint_test(us_data, hac, q) == chow_breakpoint_test(us_data, spec, q)
+
+    def test_pooled_model_is_solved_not_fitted(self, us_data, monkeypatch):
+        calls = []
+
+        def counting_fit_ols(*args):
+            calls.append(args)
+            return fit_ols(*args)
+
+        monkeypatch.setattr(ols, "fit_ols", counting_fit_ols)
+        monkeypatch.setattr(diagnostics, "fit_ols", counting_fit_ols, raising=False)
+        chow_breakpoint_test(us_data, hac_spec(), Quarter(2003, 1))
+        assert calls == []
+
+    def test_pooled_exact_fit_raises(self):
+        rng = np.random.default_rng(66)
+        x = rng.normal(size=40)
+        d = _toy_dataset({"y": 1.0 + 2.0 * x, "x": x})
+        with pytest.raises(CollinearityError, match="regressors$"):
+            chow_breakpoint_test(d, RegressionSpec("y", ("x",)), Quarter(2005, 1))
 
     def test_regime_collinearity_names_column(self):
         # a dummy that is zero before the break is collinear in regime one
@@ -283,6 +328,29 @@ class TestWhite:
         fit = _random_fit(rng, T=5)
         with pytest.raises(SampleError, match="5 observations cannot identify 6"):
             white_test(fit)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_auxiliary_fit_raises(self, seed):
+        # the residuals are e, and e^2 is the regressor x1: the auxiliary R^2
+        # rounds to 1, where F = (r2/q) / ((1 - r2)/(T - p)) divided by zero
+        d = _toy_dataset(_exact_white_columns(np.random.default_rng(seed), 60))
+        fit = fit_ols(d, RegressionSpec("y", ("x1", "x2")))
+        with pytest.raises(CollinearityError, match="in the auxiliary regression"):
+            white_test(fit)
+
+    def test_f_when_r2_rounds_to_one(self):
+        # SSR is 1e-20 of the TSS, so 1 - r2 is 0, yet the fit is not exact
+        rng = np.random.default_rng(67)
+        x = rng.normal(size=60)
+        u = 1.0 + x + 1e-10 * rng.normal(size=60)
+        Xa = np.column_stack([np.ones(60), x])
+        beta, *_ = np.linalg.lstsq(Xa, u, rcond=None)
+        ssr = float(np.sum((u - Xa @ beta) ** 2))
+        tss = float(np.sum((u - u.mean()) ** 2))
+        assert 1.0 - ssr / tss == 1.0
+        rep = _lm_test("aux", "none", Xa, u, 1)
+        assert rep.stat("F").value == pytest.approx(tss / ssr * 58, rel=1e-6)
+        assert rep.stat("F").p == 0.0
 
     def test_needs_two_nonconstant_regressors(self):
         rng = np.random.default_rng(59)

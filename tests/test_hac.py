@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from taylorlab.errors import CollinearityError, ConfigError, DomainError
-from taylorlab.hac import HacConfig, default_bandwidth, long_run_cov, moment_root, newey_west_cov
+from taylorlab.hac import (
+    HacConfig, coef_cov, default_bandwidth, long_run_cov, moment_root, newey_west_cov,
+)
 from taylorlab.ols import RegressionSpec, fit_ols
 
 
@@ -87,6 +89,40 @@ class TestPublishedStandardErrors:
         fit = fit_ols(uk_data, spec)
         assert fit.std_errors[0] == pytest.approx(0.313283, abs=5e-3)
         assert fit.t_stats[0] == pytest.approx(3.920280, rel=0.015)
+
+
+def _qr_route(X, Z, e, cfg):
+    """T^2/(T-k) (A'A)^-1 through the R factor of A = M Z'X, for any A."""
+    T, k = X.shape
+    Ri = np.linalg.inv(np.linalg.qr(moment_root(Z, e, cfg) @ (Z.T @ X), mode="r"))
+    return T * T / (T - k) * (Ri @ Ri.T)
+
+
+class TestCoefCov:
+    CFGS = [None, HacConfig(), HacConfig(1), HacConfig(12)]
+    IDS = ["classical", "hac-rule", "hac1", "hac12"]
+
+    @staticmethod
+    def _design(seed, T, k, n_inst):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(T), rng.normal(size=(T, k - 1))])
+        Z = np.column_stack([np.ones(T), X[:, 1:] + rng.normal(size=(T, k - 1)),
+                             rng.normal(size=(T, n_inst - k))])
+        return X, Z, rng.normal(size=T)
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=IDS)
+    @pytest.mark.parametrize("seed,T,k", [(81, 40, 2), (82, 117, 4), (83, 316, 6)])
+    def test_square_inverse_matches_qr_route(self, cfg, seed, T, k):
+        # OLS (Z = X) and a just-identified GMM make A square
+        X, Z, e = self._design(seed, T, k, k)
+        for inst in (X, Z):
+            ref = _qr_route(X, inst, e, cfg)
+            assert np.allclose(coef_cov(X, inst, e, cfg), ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("cfg", CFGS, ids=IDS)
+    def test_over_identified_keeps_qr_route(self, cfg):
+        X, Z, e = self._design(84, 117, 4, 7)
+        assert np.array_equal(coef_cov(X, Z, e, cfg), _qr_route(X, Z, e, cfg))
 
 
 class TestSingularMomentCov:
