@@ -14,63 +14,90 @@ import io
 import json
 import os
 import re
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FetchError, IngestError
 from .records import Frozen, Record
-from .series import _QUARTER_RE, CORE_SERIES, Dataset, Quarter, Series
+from .series import CORE_SERIES, Dataset, Quarter, Series
 
 if TYPE_CHECKING:
     from pathlib import Path
 
-_ISO_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])-\d{2}$")
-
-
-def _quarter_index(token: str) -> int | None:
-    """``Quarter.index`` of a date token, or None if it is not a date."""
-    token = token.strip()
-    m = _ISO_RE.match(token)
-    if m:
-        return int(m.group(1)) * 4 + (int(m.group(2)) - 1) // 3
-    m = _QUARTER_RE.match(token)
-    return int(m.group(1)) * 4 + int(m.group(2)) - 1 if m else None
+# A date token, blanks around it allowed: an ISO date with a day of 01-31,
+# whose month gives the quarter, or a quarter such as 1990Q1, 1990-Q1,
+# 1990:q1 or 1990 Q1.
+_DATE_RE = re.compile(
+    r"\s*(\d{4})(?:-(0[1-9]|1[0-2])-(?:0[1-9]|[12]\d|3[01])|[-: ]?[Qq]([1-4]))\s*"
+)
+# the quarter within its year (0-3) of a month group or a quarter group
+_QUARTER_OF = {f"{m:02d}": (m - 1) // 3 for m in range(1, 13)}
+_QUARTER_OF.update({str(q): q - 1 for q in range(1, 5)})
 
 
 def _quarter(index: int) -> Quarter:
     return Quarter(index // 4, index % 4 + 1)
 
 
-def _decode(rows, names: list[str], source: str) -> dict[str, Series]:
-    """Series ``names`` from (row number, date token, cells) rows.
+def _is_number(cell) -> bool:
+    """Whether a cell converts with ``float``; a JSON boolean does not count."""
+    try:
+        float(cell)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return cell.__class__ is not bool
+
+
+def _decode(
+    numbers, tokens: list, cells: list, names: list[str], source: str
+) -> dict[str, Series]:
+    """Series ``names`` from rows given as row numbers, date tokens and cell lists.
 
     The rows must be consecutive quarters, each with one cell per name.
-    Errors name the row as "<source>, row <n>".
+    Errors name the row as "<source>, row <n>". Each check makes one pass
+    over the rows before the first fault found so far, so the error raised
+    is the first fault in row order and, within a row, the first of: cell
+    count, date, order, value.
     """
-    columns = [[] for _ in names]
-    prev = None
-    for n, token, cells in rows:
-        if len(cells) != len(names):
-            raise IngestError(
-                f"{source}, row {n}: expected {len(names) + 1} cells, got {len(cells) + 1}"
-            )
-        index = _quarter_index(token)
-        if index is None:
-            raise IngestError(f"{source}, row {n}: cannot parse date token {token!r}")
-        if prev is not None and index != prev + 1:
-            problem = "duplicate quarter" if index == prev else "not consecutive (gap or order) at"
-            raise IngestError(f"{source}, row {n}: {problem} {_quarter(index)}")
-        prev = index
-        for col, cell in enumerate(cells):
-            try:
-                columns[col].append(float(cell))
-            except (TypeError, ValueError):
-                raise IngestError(
-                    f"{source}, row {n}, column {names[col]!r}: unparsable cell {cell!r}"
-                ) from None
-    if prev is None:
+    k = len(names)
+    end, fault = len(tokens), None  # rows before the first fault; its message
+
+    counts = list(map(len, cells))
+    if counts.count(k) != end:
+        end = next(i for i, c in enumerate(counts) if c != k)
+        fault = f"{source}, row {numbers[end]}: expected {k + 1} cells, got {counts[end] + 1}"
+
+    matches = list(map(_DATE_RE.fullmatch, tokens[:end]))
+    if None in matches:
+        end = matches.index(None)
+        fault = f"{source}, row {numbers[end]}: cannot parse date token {tokens[end]!r}"
+        del matches[end:]
+    index = [int(y) * 4 + _QUARTER_OF[month or q] for y, month, q in map(re.Match.groups, matches)]
+
+    if index and index != list(range(index[0], index[0] + end)):
+        end = next(i for i in range(1, end) if index[i] != index[i - 1] + 1)
+        problem = ("duplicate quarter" if index[end] == index[end - 1]
+                   else "not consecutive (gap or order) at")
+        fault = f"{source}, row {numbers[end]}: {problem} {_quarter(index[end])}"
+
+    flat = list(chain.from_iterable(cells[:end]))  # row by row
+    try:
+        values = list(map(float, flat))
+        numeric = bool not in map(type, flat)
+    except (TypeError, ValueError, OverflowError):
+        numeric = False
+    if not numeric:
+        j = next(j for j, cell in enumerate(flat) if not _is_number(cell))
+        row, col = divmod(j, k)
+        raise IngestError(
+            f"{source}, row {numbers[row]}, column {names[col]!r}: unparsable cell {flat[j]!r}"
+        )
+    if fault:
+        raise IngestError(fault)
+    if not end:
         raise IngestError(f"{source} holds no observations")
-    start = _quarter(prev + 1 - len(columns[0]))  # the rows are consecutive quarters
-    return {name: Series(name, start, col) for name, col in zip(names, columns)}
+    start = _quarter(index[0])
+    return {name: Series(name, start, values[col::k]) for col, name in enumerate(names)}
 
 
 def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
@@ -98,9 +125,11 @@ def parse_quarterly_csv(text: str | bytes, country: str = "") -> Dataset:
     for k, name in enumerate(names):
         if not name or name in names[:k]:
             raise IngestError(f"CSV header: column {k + 2} name {name!r} is blank or repeated")
-    rows = ((n, row[0], row[1:]) for n, row in enumerate(body, start=2)
-            if any(cell.strip() for cell in row))
-    return Dataset(country or "unnamed", _decode(rows, names, "CSV"))
+    numbers = [n for n, row in enumerate(body, start=2) if "".join(row).strip()]
+    rows = [body[n - 2] for n in numbers]
+    tokens = [row[0] for row in rows]
+    cells = [row[1:] for row in rows]
+    return Dataset(country or "unnamed", _decode(numbers, tokens, cells, names, "CSV"))
 
 
 def embedded_dataset(country: str) -> Dataset:
@@ -184,10 +213,17 @@ def _decode_observations(name: str, raw: bytes) -> Series:
     """One series from a FRED payload, whose dates come in ascending order."""
     try:
         obs = json.loads(raw)["observations"]
-        rows = [(n, str(o["date"]), (o["value"],)) for n, o in enumerate(obs, start=1)]
+        try:
+            tokens = [str(o["date"]) for o in obs]
+            values = [o["value"] for o in obs]
+        except (KeyError, TypeError):
+            for o in obs:  # raise for the first observation that lacks a date or a value
+                o["date"], o["value"]
+            raise
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise IngestError(f"series {name!r}: cannot decode observations payload: {exc}") from exc
-    return _decode(rows, [name], f"series {name!r}")[name]
+    numbers = range(1, len(values) + 1)
+    return _decode(numbers, tokens, list(zip(values)), [name], f"series {name!r}")[name]
 
 
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:

@@ -1,14 +1,20 @@
+import csv
 import errno
+import io
 import json
 import os
+import re
 import urllib.error
 import urllib.parse
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylorlab import ingest
-from taylorlab.errors import ConfigError, FetchError, IngestError
+from taylorlab.errors import ConfigError, FetchError, IngestError, TaylorLabError
 from taylorlab.ingest import (
     RemoteConfig,
     SourceDescriptor,
@@ -16,7 +22,7 @@ from taylorlab.ingest import (
     fetch_series,
     parse_quarterly_csv,
 )
-from taylorlab.series import Quarter, common_span
+from taylorlab.series import CORE_SERIES, Quarter, Series, common_span
 
 
 class TestParseQuarterToken:
@@ -37,6 +43,19 @@ class TestParseQuarterToken:
     def test_rejected_tokens(self, token):
         with pytest.raises(IngestError, match="cannot parse date token"):
             parse_quarterly_csv(f"date,x\n{token},1.0\n")
+
+    @pytest.mark.parametrize("day", ["01", "09", "10", "19", "20", "29", "30", "31"])
+    def test_iso_days_01_to_31_accepted(self, day):
+        assert parse_quarterly_csv(f"date,x\n1990-05-{day},1.0\n")["x"].start == Quarter(1990, 2)
+
+    @pytest.mark.parametrize("day", ["00", "32", "39", "40", "99"])
+    def test_impossible_iso_day_rejected(self, day):
+        with pytest.raises(IngestError, match=f"row 2: cannot parse date token '1990-01-{day}'"):
+            parse_quarterly_csv(f"date,x\n1990-01-{day},1\n1990-04-01,2\n")
+
+    def test_impossible_days_in_every_row(self):
+        with pytest.raises(IngestError, match="row 2: cannot parse date token '1990-01-99'"):
+            parse_quarterly_csv("date,x\n1990-01-99,1\n1990-04-00,2\n")
 
 
 class TestEmbeddedDatasets:
@@ -283,6 +302,22 @@ class TestFredDecoding:
         with pytest.raises(IngestError, match=f"series 'real_gdp'.*{message}"):
             fetch_series(_remote_descriptor(tmp_path), http_get=lambda u: raw)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_value_is_unparsable(self, value):
+        raw = _observations(("1990-01-01", "1.0"), ("1990-04-01", value))
+        with pytest.raises(IngestError, match=f"row 2, column 'cpi': unparsable cell {value}$"):
+            ingest._decode_observations("cpi", raw)
+
+    def test_boolean_value_is_reported_in_row_order(self):
+        raw = _observations(("1990-01-01", "1.0"), ("1990-04-01", True), ("1990-13-01", "3.0"))
+        with pytest.raises(IngestError, match="row 2, column 'cpi': unparsable cell True"):
+            ingest._decode_observations("cpi", raw)
+
+    def test_integer_beyond_float_range_is_unparsable(self):
+        raw = _observations(("1990-01-01", 10**400))
+        with pytest.raises(IngestError, match="row 1, column 'cpi': unparsable cell 1000"):
+            ingest._decode_observations("cpi", raw)
+
     def test_csv_and_fred_decode_identically(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
         text = (Path(ingest.__file__).parent / "data" / "us.csv").read_text()
@@ -304,6 +339,43 @@ class TestFredDecoding:
         for role, s in from_csv.series.items():
             assert fred[role].start == s.start
             assert fred[role].values.tobytes() == s.values.tobytes()
+
+    def test_full_fred_history_decodes_to_float_of_each_cell(self, tmp_path, monkeypatch):
+        # 1947Q1-2025Q4: the 316 quarters of the longest FRED quarterly series
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        rng = np.random.default_rng(316)
+        start = Quarter(1947, 1)
+        quarters = [start.offset(k) for k in range(316)]
+        assert quarters[-1] == Quarter(2025, 4)
+        walk = np.cumsum(rng.normal(0.01, 0.02, (316, 4)), axis=0)
+        cells = {  # full 17-digit, short and integer forms
+            role: [f"{v:.17g}" if k % 3 else f"{v:.3f}" if k % 2 else str(round(v * 1e4))
+                   for k, v in enumerate(walk[:, col])]
+            for col, role in enumerate(CORE_SERIES)
+        }
+        text = "date," + ",".join(CORE_SERIES) + "\n" + "".join(
+            f"{q}," + ",".join(cells[role][k] for role in CORE_SERIES) + "\n"
+            for k, q in enumerate(quarters)
+        )
+        desc = _remote_descriptor(tmp_path)
+        payloads = {
+            desc.series_ids[role]: _observations(
+                *((f"{q.year}-{q.q * 3 - 2:02d}-01", c) for q, c in zip(quarters, cells[role]))
+            )
+            for role in CORE_SERIES
+        }
+
+        def fake_get(url):
+            query = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+            return payloads[query["series_id"][0]]
+
+        from_csv = parse_quarterly_csv(text, "us")
+        fred = fetch_series(desc, http_get=fake_get)
+        for role in CORE_SERIES:
+            expected = np.array([float(c) for c in cells[role]]).tobytes()
+            for d in (from_csv, fred):
+                assert d[role].start == start
+                assert d[role].values.tobytes() == expected
 
 
 def _cache_path(desc, role):
@@ -359,3 +431,187 @@ class TestCacheFailures:
         (tmp_path / "cache").write_text("a file, not a directory")
         with pytest.raises(FetchError, match=f"cannot create cache directory {tmp_path}"):
             fetch_series(_remote_descriptor(tmp_path), http_get=lambda url: _payload())
+
+
+# The row-by-row decoder that the bulk one replaced, kept as the oracle of the
+# error contract: the first fault in row order and, within a row, cell count,
+# then date, then order, then value. It carries the rules added since: an ISO
+# day must be 01-31, and a value must be a string or a number in float range,
+# not a boolean.
+_REF_ISO_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])$")
+_REF_QUARTER_RE = re.compile(r"^(\d{4})[-: ]?Q([1-4])$", re.IGNORECASE)
+
+
+def _reference_index(token):
+    token = token.strip()
+    m = _REF_ISO_RE.match(token)
+    if m:
+        return int(m.group(1)) * 4 + (int(m.group(2)) - 1) // 3
+    m = _REF_QUARTER_RE.match(token)
+    return int(m.group(1)) * 4 + int(m.group(2)) - 1 if m else None
+
+
+def _reference_decode(rows, names, source):
+    columns = [[] for _ in names]
+    prev = None
+    for n, token, cells in rows:
+        if len(cells) != len(names):
+            raise IngestError(
+                f"{source}, row {n}: expected {len(names) + 1} cells, got {len(cells) + 1}"
+            )
+        index = _reference_index(token)
+        if index is None:
+            raise IngestError(f"{source}, row {n}: cannot parse date token {token!r}")
+        if prev is not None and index != prev + 1:
+            problem = "duplicate quarter" if index == prev else "not consecutive (gap or order) at"
+            raise IngestError(f"{source}, row {n}: {problem} {Quarter(index // 4, index % 4 + 1)}")
+        prev = index
+        for col, cell in enumerate(cells):
+            try:
+                if isinstance(cell, bool):
+                    raise TypeError
+                columns[col].append(float(cell))
+            except (TypeError, ValueError, OverflowError):
+                raise IngestError(
+                    f"{source}, row {n}, column {names[col]!r}: unparsable cell {cell!r}"
+                ) from None
+    if prev is None:
+        raise IngestError(f"{source} holds no observations")
+    first = prev + 1 - len(columns[0])
+    start = Quarter(first // 4, first % 4 + 1)
+    return {name: Series(name, start, col) for name, col in zip(names, columns)}
+
+
+def _reference_csv(text):
+    header, *body = csv.reader(io.StringIO(text))
+    names = [h.strip() for h in header[1:]]
+    rows = ((n, row[0], row[1:]) for n, row in enumerate(body, start=2)
+            if any(cell.strip() for cell in row))
+    return _reference_decode(rows, names, "CSV")
+
+
+def _reference_fred(name, raw):
+    try:
+        obs = json.loads(raw)["observations"]
+        rows = [(n, str(o["date"]), (o["value"],)) for n, o in enumerate(obs, start=1)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"series {name!r}: cannot decode observations payload: {exc}") from exc
+    return _reference_decode(rows, [name], f"series {name!r}")
+
+
+def _outcome(decode):
+    """Start and value bytes of each series ``decode()`` returns, or the error it raises."""
+    try:
+        series = decode()
+    except TaylorLabError as exc:
+        return type(exc).__name__, str(exc)
+    return {name: (str(s.start), s.values.tobytes()) for name, s in series.items()}
+
+
+_PADDING = st.sampled_from(["", "", "", " ", "\t", "\u00a0", "\u3000", "\x1c"])
+
+
+@st.composite
+def _date_token(draw, index, bad):
+    year, q = divmod(index, 4)
+    y = str(year)
+    if draw(st.integers(0, 9)) == 0:
+        # the year in Arabic-Indic digits, which \d and int() accept
+        y = y.translate(str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A)))))
+    month = 3 * q + draw(st.integers(1, 3))
+    if bad:
+        token = draw(st.sampled_from([
+            f"{y}-{month:02d}-00", f"{y}-{month:02d}-32", f"{y}-{month:02d}-99",
+            f"{y}-13-01", f"{y}-{month}-01", f"{y}Q5", f"Q{q + 1}-{y}", f"{y}QQ1", "", "n/a",
+        ]))
+    else:
+        day = draw(st.sampled_from(["01", "09", "15", "28", "30", "31"]))
+        token = draw(st.sampled_from([
+            f"{y}-{month:02d}-{day}", f"{y}Q{q + 1}", f"{y}-Q{q + 1}", f"{y}:q{q + 1}",
+            f"{y} Q{q + 1}",
+        ]))
+    return draw(_PADDING) + token + draw(_PADDING)
+
+
+_GOOD_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(-1e6, 1e6).map(lambda v: f" {v:.3f} "),
+)
+_GOOD_JSON_VALUE = _GOOD_NUMBER | st.floats(allow_nan=False, allow_infinity=False)
+_BAD_CELL = st.sampled_from([".", "", "abc", "1..2", "1,5", "nan", "inf", "-Infinity"])
+_BAD_JSON_VALUE = st.sampled_from([True, False, None, [], {}, 10**400])
+
+
+@st.composite
+def _panel(draw, fred):
+    """Rows of a drawn panel with zero to three faulty rows, each with one to
+    three of: bad date, date out of order, bad value and, for CSV, wrong cell
+    count and blank lines before it, for FRED, a malformed observation."""
+    k = 1 if fred else draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    faulty = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=min(3, n), unique=True))
+    kinds = ["value", "order", "date", "value", "order", "date"]
+    kinds += ["value", "value"] if fred else ["blank", "count"]
+    faults = {i: draw(st.sets(st.sampled_from(kinds), min_size=1, max_size=3)) for i in faulty}
+    for i in faulty if fred else ():  # rarer, as it hides every fault of another kind
+        if draw(st.integers(0, 3)) == 3:
+            faults[i].add("payload")
+    index = draw(st.integers(1947 * 4, 2020 * 4)) - 1
+    rows = []
+    for i in range(n):
+        fault = faults.get(i, set())
+        index += draw(st.sampled_from([0, 2, -1, 0, 5, -3])) if "order" in fault else 1
+        token = draw(_date_token(index, "date" in fault))
+        cells = [draw(_GOOD_JSON_VALUE if fred else _GOOD_NUMBER) for _ in range(k)]
+        if "value" in fault:
+            # for FRED, a JSON value twice as often as a bad string
+            bad = _BAD_JSON_VALUE | _BAD_JSON_VALUE | _BAD_CELL if fred else _BAD_CELL
+            cells[draw(st.integers(0, k - 1))] = draw(bad)
+        if "count" in fault:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1.0"]
+        rows.append((token, cells, fault))
+    return k, rows
+
+
+def _csv_text(k, rows, draw):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["date", *"abc"[:k]])
+    for token, cells, fault in rows:
+        if "blank" in fault:  # blank lines before the row
+            for _ in range(draw(st.integers(1, 2))):
+                writer.writerow(draw(st.sampled_from([[], ["", ""], ["  "], [" ", "\t"]])))
+        writer.writerow([token, *cells])
+    return out.getvalue()
+
+
+def _fred_payload(rows, draw):
+    obs = []
+    for token, (value,), fault in rows:
+        o = {"date": token, "value": value}
+        if "payload" in fault:  # an observation without a date or a value, or not an object
+            o = draw(st.sampled_from([{"value": value}, {"date": token}, [token, value], None, 5]))
+        obs.append(o)
+    return json.dumps({"observations": obs}).encode()
+
+
+class TestDecodeContract:
+    """The bulk decoder against the row-by-row reference: the same series,
+    bit for bit, or the same error."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(panel=_panel(fred=False), data=st.data())
+    def test_csv_matches_row_by_row_reference(self, panel, data):
+        text = _csv_text(*panel, data.draw)
+        assert _outcome(lambda: parse_quarterly_csv(text).series) == _outcome(
+            lambda: _reference_csv(text)
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(panel=_panel(fred=True), data=st.data())
+    def test_fred_matches_row_by_row_reference(self, panel, data):
+        raw = _fred_payload(panel[1], data.draw)
+        assert _outcome(lambda: {"cpi": ingest._decode_observations("cpi", raw)}) == _outcome(
+            lambda: _reference_fred("cpi", raw)
+        )
