@@ -11,7 +11,8 @@ import numpy as np
 from . import dist
 from .errors import ConfigError, DomainError, SampleError
 from .ols import (
-    CONST, FitResult, RegressionSpec, build_design, reject_exact_fit, solve_ols,
+    CONST, FitResult, RegressionSpec, build_design, reject_exact_fit, reject_unidentified,
+    solve_ols,
 )
 from .records import Record
 from .series import Dataset, Quarter, Series
@@ -91,28 +92,36 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     """Chow test for a structural break at a known quarter.
 
     The pre-break regime ends the quarter before ``break_at``; the second
-    regime starts at ``break_at``. The pooled model and each regime, on its
-    rows of the pooled design, are solved for their SSRs alone, and any of
-    them that is an exact fit raises, as a fit does. The statistics are
-    built from SSRs, so ``spec.covariance`` plays no part. Reports F, the
-    likelihood ratio, and the Wald form k*F.
+    regime starts at ``break_at``. The pooled model and each regime, its
+    rows of the pooled design followed by zero rows up to T, are solved as
+    one stack for their SSRs alone. The pooled model's errors come first; a
+    regime too small to identify the model, or that is an exact fit,
+    raises naming its quarters. The statistics are built from SSRs, so
+    ``spec.covariance`` plays no part. Reports F, the likelihood ratio,
+    and the Wald form k*F.
     """
     y, X, (start, end) = build_design(d, spec)
     T, k = X.shape
-    labels = [t.label for t in spec.regressors]
-    e = y - X @ solve_ols(X, y, labels)
-    ssr = float(e @ e)
-    reject_exact_fit(ssr, y)
+    reject_unidentified(T, k)  # the pooled model's errors come first
     if not (start < break_at <= end):
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
     n1 = break_at - start
-    regimes = []
-    for rows, first, last in ((slice(None, n1), start, break_at.offset(-1)),
-                              (slice(n1, None), break_at, end)):
-        e = y[rows] - X[rows] @ solve_ols(X[rows], y[rows], labels)
-        regimes.append(float(e @ e))
-        reject_exact_fit(regimes[-1], y[rows], f" over the regime {first}..{last}")
-    ssr1, ssr2 = regimes
+    systems = (
+        (slice(None), ""),
+        (slice(None, n1), f" over the regime {start}..{break_at.offset(-1)}"),
+        (slice(n1, None), f" over the regime {break_at}..{end}"),
+    )
+    Xs, ys = np.zeros((3, T, k)), np.zeros((3, T))
+    for i, (rows, where) in enumerate(systems):
+        n = len(y[rows])
+        reject_unidentified(n, k, where)
+        Xs[i, :n], ys[i, :n] = X[rows], y[rows]
+    ssrs = []
+    for (rows, where), beta in zip(systems, solve_ols(Xs, ys, [t.label for t in spec.regressors])):
+        e = y[rows] - X[rows] @ beta
+        ssrs.append(float(e @ e))
+        reject_exact_fit(ssrs[-1], y[rows], where)
+    ssr, ssr1, ssr2 = ssrs
     F = max(((ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
     # 2 (ll1 + ll2 - ll) with the constants cancelled: ratios of variances,
     # which do not depend on the units of y

@@ -229,11 +229,13 @@ def _decode_observations(name: str, raw: bytes) -> Series:
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
     """Fetch the four core series of a FRED source.
 
-    Each series id is requested once from ``base_url`` and the raw response
-    is written to the cache directory. Only when the request fails with an
-    ``OSError`` (``URLError`` included) is the cached copy read instead. A
-    cache that cannot be created, written or read raises ``FetchError``
-    naming the path. ``http_get`` may be injected for testing.
+    Each series id is requested once from ``base_url``, and the raw response
+    is written to the cache directory once it decodes, so a response that
+    does not decode leaves the last good copy in place. Only when the
+    request fails with an ``OSError`` (``URLError`` included) is the cached
+    copy read instead. A cache that cannot be created, written or read
+    raises ``FetchError`` naming the path. ``http_get`` may be injected for
+    testing.
     """
     import urllib.parse
     from pathlib import Path
@@ -257,15 +259,15 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
         })
         cache_path = cache_dir / f"{_cache_key(desc.remote.base_url, sid)}.json"
         try:
-            raw = http_get(f"{desc.remote.base_url}?{query}")
+            raw, fresh = http_get(f"{desc.remote.base_url}?{query}"), True
         except OSError as exc:  # URLError and ConnectionError included
             try:
-                raw = cache_path.read_bytes()
+                raw, fresh = cache_path.read_bytes(), False
             except FileNotFoundError:
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
             except OSError as err:
                 raise FetchError(f"cannot read cached copy {cache_path}: {err}") from err
-        else:
-            _atomic_write(cache_path, raw)
         series[role] = _decode_observations(role, raw)
+        if fresh:  # only a response that decodes replaces the cached copy
+            _atomic_write(cache_path, raw)
     return Dataset(desc.country, series)

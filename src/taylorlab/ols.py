@@ -11,7 +11,7 @@ from . import dist
 from .errors import CollinearityError, ConfigError, SampleError
 from .hac import HacConfig, coef_cov
 from .records import Frozen, Record
-from .series import Dataset, Quarter, Series, common_span, lag
+from .series import Dataset, Quarter, Series, lag
 
 CONST = "const"
 
@@ -134,47 +134,88 @@ class FitResult(Estimate):
 
 
 def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
-    """The package's one least-squares solve, via QR. Needs more rows than
-    columns, and names rank-deficient columns by ``labels`` (else index).
-    Columns are scaled by powers of two (``unit_scale``), so that the rank
-    rule is unit-free, and beta, a vector or matrix, is unscaled exactly."""
-    T, k = X.shape
-    if T <= k:
-        raise SampleError(f"sample of {T} observations cannot identify {k} parameters")
+    """The package's one least-squares solve, via QR. ``X`` is a design
+    (T, k) or a stack of designs (m, T, k), with ``y`` a vector or a matrix
+    per design; beta has the matching shape. Needs more rows than columns,
+    and names the rank-deficient columns of the first deficient design by
+    ``labels`` (else index). Columns are scaled by powers of two
+    (``unit_scale``), so that the rank rule is unit-free, and beta is
+    unscaled exactly. Zero rows change neither R nor Q'y, so designs with
+    fewer observations stack zero-padded to T rows."""
+    T, k = X.shape[-2:]
+    reject_unidentified(T, k)
     s = unit_scale(X)
     Q, R = np.linalg.qr(X * s)
-    diag = np.abs(np.diag(R))
-    tol = 1e-10 * diag.max() if diag.size else 0.0
-    bad = np.nonzero(diag <= tol)[0]
-    if bad.size:
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    tol = 1e-10 * diag.max(axis=-1, keepdims=True) if k else 0.0
+    bad = diag <= tol
+    if bad.any():
+        bad = bad.reshape(-1, k)
         names = labels or [str(i) for i in range(k)]
+        cols = np.flatnonzero(bad[bad.any(axis=1).argmax()])
         raise CollinearityError(
-            f"design matrix is rank deficient in columns: {', '.join(names[i] for i in bad)}"
+            f"design matrix is rank deficient in columns: {', '.join(names[i] for i in cols)}"
         )
-    return (s * np.linalg.solve(R, Q.T @ y).T).T
+    vector = y.ndim < X.ndim
+    beta = np.linalg.solve(R, np.swapaxes(Q, -1, -2) @ (y[..., None] if vector else y))
+    beta = beta * np.swapaxes(s, -1, -2)
+    return beta[..., 0] if vector else beta
 
 
 def unit_scale(X: np.ndarray) -> np.ndarray:
     """Per-column powers of two 2^-e, e from ``np.frexp`` of the column's
-    largest |x|, which bring that into [0.5, 1); 1 for a zero column."""
-    return np.ldexp(1.0, -np.frexp(np.abs(X).max(axis=0))[1])
+    largest |x|, which bring that into [0.5, 1); 1 for a zero column. The
+    row axis is kept, so ``X * unit_scale(X)`` scales a design or a stack."""
+    return np.ldexp(1.0, -np.frexp(np.abs(X).max(axis=-2, keepdims=True))[1])
+
+
+def reject_unidentified(T: int, k: int, where: str = "") -> None:
+    """Raise ``SampleError`` when T observations cannot identify k
+    parameters. ``where`` is appended to the message."""
+    if T <= k:
+        raise SampleError(f"sample of {T} observations cannot identify {k} parameters{where}")
+
+
+def _span(d: Dataset, t: Term) -> tuple[np.ndarray, int, int]:
+    """The values of a non-constant term's series, and the quarter indexes
+    of the term's first and last observation: the series lagged by
+    ``t.lag``, without building it. A lag that the series cannot take
+    raises through ``Term.resolve``."""
+    s = d[t.name]
+    values = s.values
+    if not 0 <= t.lag < len(values):
+        t.resolve(d)
+    first = s.start.index
+    return values, first + t.lag, first + len(values) - 1
+
+
+def _window(d: Dataset, t: Term, start: Quarter, end: Quarter) -> np.ndarray:
+    """A non-constant term over [start, end] as a read-only view of its
+    series' values: the term at quarter index i is ``values[i - first]``.
+    A sample that the term does not cover raises through ``Series.window``."""
+    values, first, last = _span(d, t)
+    lo, hi = start.index, end.index
+    if not first <= lo <= hi <= last:
+        return t.resolve(d).window(start, end)
+    return values[lo - first : hi - first + 1]
 
 
 def auto_sample(d: Dataset, terms) -> tuple[Quarter, Quarter]:
     """The widest sample over which every non-constant term is observed."""
-    series = [t.resolve(d) for t in terms if t.name != CONST]
-    if not series:
+    spans = [_span(d, t) for t in terms if t.name != CONST]
+    if not spans:
         raise SampleError("cannot infer a sample from a constant-only model")
-    start, end = common_span(series)
-    if end < start:
+    first = max(span[1] for span in spans)
+    last = min(span[2] for span in spans)
+    if last < first:
         raise SampleError("regressors share no common quarter")
-    return start, end
+    return Quarter(first // 4, first % 4 + 1), Quarter(last // 4, last % 4 + 1)
 
 
 def term_columns(d: Dataset, terms, start: Quarter, end: Quarter) -> np.ndarray:
     """One column per term over [start, end]; ``const`` is a column of ones."""
     return np.column_stack([
-        np.ones(end - start + 1) if t.name == CONST else t.resolve(d).window(start, end)
+        np.ones(end - start + 1) if t.name == CONST else _window(d, t, start, end)
         for t in terms
     ])
 
@@ -182,13 +223,14 @@ def term_columns(d: Dataset, terms, start: Quarter, end: Quarter) -> np.ndarray:
 def build_design(
     d: Dataset, spec: RegressionSpec
 ) -> tuple[np.ndarray, np.ndarray, tuple[Quarter, Quarter]]:
-    """Dependent vector, design matrix and adjusted sample for a spec."""
+    """Dependent vector, design matrix and adjusted sample for a spec. Each
+    column is sliced from its series' values by quarter index."""
     terms = [spec.dependent, *spec.regressors]
     start, end = spec.sample if spec.sample is not None else auto_sample(d, terms)
     if end < start:
         raise SampleError(f"empty sample range {start}..{end}")
     X = term_columns(d, spec.regressors, start, end)
-    return spec.dependent.resolve(d).window(start, end), X, (start, end)
+    return _window(d, spec.dependent, start, end), X, (start, end)
 
 
 def reject_exact_fit(ssr: float, y: np.ndarray, where: str = "") -> None:

@@ -395,6 +395,18 @@ class TestTest:
         assert err == ("estimation error: dependent variable is an exact linear combination "
                        "of the regressors over the regime 2009Q3..2016Q2\n")
 
+    def test_chow_regime_too_small_is_named(self, capsys):
+        # the sample starts in 1991Q1, after the 4-quarter change, so the
+        # first regime holds 2 of its 117 quarters for 3 parameters
+        code, out, err = run_cli(
+            capsys, "test", "chow", "--country", "us", "--reg", "inflation_gap,output_gap",
+            "--break", "1991Q3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == ("error: sample of 2 observations cannot identify 3 parameters "
+                       "over the regime 1991Q1..1991Q2\n")
+
     def test_bg_lags(self, capsys):
         code, out, _ = run_cli(
             capsys, "test", "bg", "--country", "us",

@@ -129,7 +129,7 @@ class TestChow:
     def test_subsample_too_small(self):
         rng = np.random.default_rng(57)
         d = _toy_dataset({"y": rng.normal(size=20), "x": rng.normal(size=20)})
-        with pytest.raises(SampleError):
+        with pytest.raises(SampleError, match="2 parameters over the regime 2000Q1..2000Q1$"):
             chow_breakpoint_test(d, RegressionSpec("y", ("x",)), Quarter(2000, 2))
 
     @pytest.mark.parametrize("break_at", [Quarter(1995, 1), Quarter(2003, 1), Quarter(2016, 4)])

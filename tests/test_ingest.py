@@ -426,6 +426,23 @@ class TestCacheFailures:
         with pytest.raises(FetchError, match=f"cannot read cached copy {blocked}"):
             fetch_series(desc, http_get=failing_get)
 
+    def test_undecodable_response_keeps_the_cached_copy(self, tmp_path, monkeypatch):
+        # an HTTP 200 body that is an error report, not observations
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        cached = {role: _cache_path(desc, role).read_bytes() for role in CORE_SERIES}
+        refused = json.dumps({"error_code": 429, "error_message": "Too Many Requests"}).encode()
+        with pytest.raises(IngestError, match="cannot decode observations payload"):
+            fetch_series(desc, http_get=lambda url: refused)
+        assert {role: _cache_path(desc, role).read_bytes() for role in CORE_SERIES} == cached
+
+        def failing_get(url):
+            raise urllib.error.URLError("offline")
+
+        d = fetch_series(desc, http_get=failing_get)
+        assert d["real_gdp"].values[0] == 100.0
+
     def test_cache_directory_cannot_be_created(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
         (tmp_path / "cache").write_text("a file, not a directory")
