@@ -17,7 +17,7 @@ from .ingest import SourceDescriptor, embedded_dataset, fetch_series, parse_quar
 from .ols import FitResult, RegressionSpec, Term, fit_ols
 from .report import compare_golden, load_golden, render_table
 from .series import Dataset, Quarter, Series, align_sample, lag, natural_log
-from .tables import reproduction_dataset, run_table
+from .tables import reproduction_dataset, run_table, run_tables
 from .transform import (
     TransformConfig,
     build_taylor_dataset,
@@ -64,6 +64,7 @@ __all__ = [
     "render_table",
     "reproduction_dataset",
     "run_table",
+    "run_tables",
     "wald_test",
     "white_test",
     "yoy_change",

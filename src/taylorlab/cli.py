@@ -67,6 +67,8 @@ def _spec_from_args(args) -> RegressionSpec:
     regs = [t for t in (args.reg or "").split(",") if t.strip()]
     if not regs:
         raise UsageError("--reg needs at least one regressor")
+    if args.bandwidth is not None and args.cov != "hac":
+        raise UsageError("--bandwidth needs --cov hac")
     cov = HacConfig(bandwidth=args.bandwidth) if args.cov == "hac" else None
     return RegressionSpec(
         args.dep,
@@ -78,9 +80,9 @@ def _spec_from_args(args) -> RegressionSpec:
 
 
 def cmd_reproduce(args) -> int:
-    ids = args.tables or (
+    ids = sorted(args.tables or (
         tables_mod.US_TABLES if args.country == "us" else tables_mod.UK_TABLES
-    )
+    ))
     for tid in ids:
         if tables_mod.country_for_table(tid) != args.country:
             raise UsageError(
@@ -88,8 +90,7 @@ def cmd_reproduce(args) -> int:
             )
     d = tables_mod.reproduction_dataset(args.country)
     all_pass = True
-    for tid in sorted(ids):
-        result = tables_mod.run_table(tid, d)
+    for tid, result in zip(ids, tables_mod.run_tables(ids, d)):
         diff = compare_golden(result, load_golden(tid))
         all_pass &= diff.passed
         if args.verbose:

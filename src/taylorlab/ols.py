@@ -123,8 +123,9 @@ class FitResult(Estimate):
     plus its spec, residual series and information criteria.
 
     ``x_matrix`` and ``y_vector`` are the design matrix and dependent
-    vector over the adjusted sample, kept for the Chow regimes and the
-    diagnostic tests' auxiliary regressions.
+    vector over the adjusted sample. The White and Breusch-Godfrey tests
+    build their auxiliary regressions from ``x_matrix`` and the residuals;
+    nothing in the package reads ``y_vector``.
     """
 
     _fields = Estimate._fields + (
@@ -213,7 +214,10 @@ def auto_sample(d: Dataset, terms) -> tuple[Quarter, Quarter]:
 
 
 def term_columns(d: Dataset, terms, start: Quarter, end: Quarter) -> np.ndarray:
-    """One column per term over [start, end]; ``const`` is a column of ones."""
+    """One column per term over [start, end]; ``const`` is a column of ones.
+    An inverted range raises ``SampleError``."""
+    if end < start:
+        raise SampleError(f"empty sample range {start}..{end}")
     return np.column_stack([
         np.ones(end - start + 1) if t.name == CONST else _window(d, t, start, end)
         for t in terms
@@ -227,8 +231,6 @@ def build_design(
     column is sliced from its series' values by quarter index."""
     terms = [spec.dependent, *spec.regressors]
     start, end = spec.sample if spec.sample is not None else auto_sample(d, terms)
-    if end < start:
-        raise SampleError(f"empty sample range {start}..{end}")
     X = term_columns(d, spec.regressors, start, end)
     return _window(d, spec.dependent, start, end), X, (start, end)
 

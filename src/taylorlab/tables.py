@@ -1,21 +1,16 @@
-"""Runners that re-estimate each published result table from the embedded data.
+"""The published result tables as one plan over the embedded data.
 
-Tables 1-9 belong to the US dataset, 10-17 to the UK. Each runner takes
-the transformed dataset (with inflation_gap, output_gap, s and it) and
-returns the estimation or test result that the matching golden table is
-diffed against. Regressor ordering follows each table's printed layout.
+Tables 1-9 belong to the US dataset, 10-17 to the UK. Each table is a model
+estimated on the transformed dataset (with inflation_gap, output_gap, s and
+it), or a test run on one of those models, and its result is diffed against
+the matching golden table. Regressor ordering follows each table's layout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import (
-    breusch_godfrey_test,
-    chow_breakpoint_test,
-    wald_test,
-    white_test,
-)
+from .diagnostics import breusch_godfrey_test, chow_breakpoint_test, wald_test, white_test
 from .errors import ConfigError
 from .gmm import GmmSpec, fit_linear_gmm
 from .hac import HacConfig
@@ -64,18 +59,9 @@ def hac_spec() -> RegressionSpec:
     return _HAC
 
 
-def _baseline_fit(d):
-    return fit_ols(d, baseline_spec(d.country))
-
-
-def _hac_fit(d):
-    return fit_ols(d, hac_spec())
-
-
-def _wald_equal_weights(d):
+def _wald_equal_weights(fit):
     # EViews-style restriction on the first two coefficients of the
     # printed ordering: C(1)=0.5, C(2)=0.5.
-    fit = _baseline_fit(d)
     R = np.zeros((2, fit.n_params))
     R[0, 0] = R[1, 1] = 1.0
     return wald_test(fit, R, np.array([0.5, 0.5]), null="coefficients are equally weighted")
@@ -85,40 +71,55 @@ def _chow(d, year: int):
     return chow_breakpoint_test(d, baseline_spec(d.country), Quarter(year, 1))
 
 
-def _augmented_lag_fit(d):
-    return fit_ols(d, _AUGMENTED_LAG)
-
-
-def _gmm(d):
-    return fit_linear_gmm(d, _GMM)
-
-
-TABLE_RUNNERS = {
-    1: _baseline_fit,
-    2: _wald_equal_weights,
-    3: lambda d: _chow(d, 2003),
-    4: lambda d: _chow(d, 2006),
-    5: _augmented_lag_fit,
-    6: lambda d: white_test(_hac_fit(d)),
-    7: lambda d: breusch_godfrey_test(_hac_fit(d), lags=1),
-    8: _hac_fit,
-    9: _gmm,
-    10: _baseline_fit,
-    11: _wald_equal_weights,
-    12: lambda d: _chow(d, 2006),
-    13: _augmented_lag_fit,
-    14: lambda d: white_test(_hac_fit(d)),
-    15: lambda d: breusch_godfrey_test(_hac_fit(d), lags=1),
-    16: _hac_fit,
-    17: _gmm,
+# A model is estimated from the dataset; a test runs on the fit of the model
+# it names. Both call the estimators by their module-level names when they
+# run, so that rebinding those names (as a tracer does) reaches them.
+# ``run_tables`` shares them only within one call: nothing outlives it.
+MODELS = {
+    "baseline": lambda d: fit_ols(d, baseline_spec(d.country)),
+    "hac": lambda d: fit_ols(d, _HAC),
+    "lagged_s": lambda d: fit_ols(d, _AUGMENTED_LAG),
+    "gmm": lambda d: fit_linear_gmm(d, _GMM),
+    "chow2003": lambda d: _chow(d, 2003),
+    "chow2006": lambda d: _chow(d, 2006),
 }
+TESTS = {
+    "wald": ("baseline", _wald_equal_weights),
+    "white": ("hac", lambda fit: white_test(fit)),
+    "bg": ("hac", lambda fit: breusch_godfrey_test(fit, lags=1)),
+}
+# The model or test behind each table, tables 1 to 17 in order.
+PLAN = (
+    "baseline", "wald", "chow2003", "chow2006", "lagged_s", "white", "bg", "hac", "gmm",
+    "baseline", "wald", "chow2006", "lagged_s", "white", "bg", "hac", "gmm",
+)
+
+
+def run_tables(table_ids, d) -> list:
+    """Re-estimate published tables, a sequence of ids, on their country's
+    dataset; returns the results in the order of ``table_ids``. Every id is
+    checked against ``d.country`` first, and each model is then estimated
+    once in the call."""
+    for table_id in table_ids:
+        country = country_for_table(table_id)
+        if d.country != country:
+            raise ConfigError(
+                f"table {table_id} belongs to {country!r}, got dataset {d.country!r}"
+            )
+    done = {}
+
+    def result(name):
+        if name not in done:
+            if name in TESTS:
+                model, test = TESTS[name]
+                done[name] = test(result(model))
+            else:
+                done[name] = MODELS[name](d)
+        return done[name]
+
+    return [result(PLAN[table_id - 1]) for table_id in table_ids]
 
 
 def run_table(table_id: int, d):
     """Re-estimate one published table on its country's dataset; returns the result."""
-    country = country_for_table(table_id)
-    if d.country != country:
-        raise ConfigError(
-            f"table {table_id} belongs to {country!r}, got dataset {d.country!r}"
-        )
-    return TABLE_RUNNERS[table_id](d)
+    return run_tables((table_id,), d)[0]

@@ -68,3 +68,23 @@ def test_panel_scale_csv_and_fred_requests_pass_check(perfbench, tmp_path, monke
         _, output = panel_scale.request(i)
         assert panel_scale.check(i, output)
     assert len(list((tmp_path / "fred-cache").glob("*.json"))) == 4
+
+
+def test_traced_reproduce_warm_request_counts_every_table_and_fit(perfbench, tmp_path):
+    # reproduce_warm calls run_table once per table, so the layer wrappers
+    # see each table's own fits and tests; a table plan that held the
+    # estimators as function objects would escape them and count fewer
+    layers, workloads = perfbench
+    ctx = workloads.Context(
+        root=PERFBENCH.parent, work=tmp_path, env=dict(os.environ), here=PERFBENCH
+    )
+    reproduce_warm = workloads.ReproduceWarm(ctx, 1)
+    reproduce_warm.trace(True)
+    try:
+        _, output = reproduce_warm.request(0)
+    finally:
+        reproduce_warm.trace(False)
+    assert reproduce_warm.check(0, output)
+    expected = {"ols.fits": 12, "tables.runs": 17, "gmm.fits": 2, "diagnostics.tests": 9}
+    metrics = reproduce_warm.layer_metrics(1)
+    assert {k: metrics[k] for k in expected} == expected

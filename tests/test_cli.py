@@ -223,6 +223,18 @@ class TestFit:
         assert err == ("estimation error: singular moment covariance: the moments "
                        "z_t * e_t are linearly dependent up to rounding\n")
 
+    @pytest.mark.parametrize("cov", [[], ["--cov", "classical"]])
+    def test_bandwidth_without_hac_is_usage_error(self, capsys, cov):
+        # the classical covariance takes no bandwidth; dropping it silently
+        # would print classical standard errors for a Newey-West request
+        code, out, err = run_cli(
+            capsys, "fit", "--country", "us", "--reg", "inflation_gap,output_gap",
+            *cov, "--bandwidth", "7",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "usage error: --bandwidth needs --cov hac\n"
+
     def test_single_moment_at_rounding_level_is_estimation_error(self, capsys):
         # k = 1, so the condition number of S is 1; the kernel sum cancels to
         # 9.4e-15 of the moment's classical size, below min(m, T) * eps

@@ -29,6 +29,8 @@ def ref_auto_sample(d, terms):
 
 
 def ref_term_columns(d, terms, start, end):
+    if end < start:
+        raise SampleError(f"empty sample range {start}..{end}")
     return np.column_stack([
         np.ones(end - start + 1) if t.name == CONST else t.resolve(d).window(start, end)
         for t in terms
@@ -38,8 +40,6 @@ def ref_term_columns(d, terms, start, end):
 def ref_build_design(d, spec):
     terms = [spec.dependent, *spec.regressors]
     start, end = spec.sample if spec.sample is not None else ref_auto_sample(d, terms)
-    if end < start:
-        raise SampleError(f"empty sample range {start}..{end}")
     X = ref_term_columns(d, spec.regressors, start, end)
     return spec.dependent.resolve(d).window(start, end), X, (start, end)
 
@@ -49,7 +49,7 @@ def _outcome(fn, *args):
     it raises as (type, text)."""
     try:
         out = fn(*args)
-    except (TaylorLabError, ValueError) as exc:  # ValueError: np.ones of an inverted sample
+    except TaylorLabError as exc:
         return type(exc), str(exc)
     return _plain(out)
 

@@ -1,0 +1,76 @@
+"""The table plan: each shared model is estimated once per ``run_tables`` call,
+the results equal those of ``run_table`` table by table, and a table of the
+wrong country is refused before anything is estimated."""
+
+import contextlib
+import io
+import random
+
+import pytest
+
+import taylorlab.tables as tables
+from taylorlab.cli import main
+from taylorlab.errors import ConfigError
+from taylorlab.report import render_table
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The specs of every ``fit_ols`` call the plan makes, in call order."""
+    calls = []
+    fit_ols = tables.fit_ols
+
+    def counting_fit_ols(d, spec):
+        calls.append(spec)
+        return fit_ols(d, spec)
+
+    monkeypatch.setattr(tables, "fit_ols", counting_fit_ols)
+    return calls
+
+
+@pytest.mark.parametrize("country", ["us", "uk"])
+def test_reproduce_fits_each_ols_model_once(country, fits):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["reproduce", "--country", country]) == 0
+    # baseline, lagged s and HAC; the baseline serves its Wald test and the
+    # HAC fit its White and Breusch-Godfrey tests
+    assert len(fits) == 3
+    assert len(set(fits)) == 3
+
+
+@pytest.mark.parametrize("country", ["us", "uk"])
+def test_run_tables_renders_as_run_table_per_id(country, us_data, uk_data):
+    d = {"us": us_data, "uk": uk_data}[country]
+    ids = list(tables.US_TABLES if country == "us" else tables.UK_TABLES)
+    random.Random(16).shuffle(ids)
+    together = tables.run_tables(ids, d)
+    assert len(together) == len(ids)
+    for table_id, result in zip(ids, together):
+        alone = tables.run_table(table_id, d)
+        for fmt in ("text", "json"):
+            assert render_table(result, fmt) == render_table(alone, fmt), (table_id, fmt)
+
+
+def test_tests_run_on_their_model_fit_and_nothing_outlives_the_call(us_data, fits):
+    hac, baseline = tables.hac_spec(), tables.baseline_spec("us")
+    tables.run_tables([6, 8, 7, 1, 2], us_data)
+    assert fits == [hac, baseline]
+    tables.run_tables([8, 1], us_data)
+    assert fits == [hac, baseline, hac, baseline]
+
+
+def test_chow_table_makes_no_ols_fit(us_data, fits):
+    tables.run_table(3, us_data)
+    assert fits == []
+
+
+def test_table_of_other_country_is_refused_before_any_fit(us_data, fits):
+    with pytest.raises(ConfigError, match="table 12 belongs to 'uk'"):
+        tables.run_tables([1, 12], us_data)
+    assert fits == []
+
+
+def test_unknown_table_id_is_refused(us_data, fits):
+    with pytest.raises(ConfigError, match="1..17"):
+        tables.run_tables([1, 18], us_data)
+    assert fits == []
