@@ -67,6 +67,8 @@ def wald_test(fit: FitResult, R: np.ndarray, r: np.ndarray, null: str = "") -> T
         raise DomainError(
             f"restriction shape {R.shape} does not match {fit.n_params} parameters"
         )
+    if not (np.isfinite(R).all() and np.isfinite(r).all()):
+        raise DomainError("restrictions must be finite")
     if np.linalg.matrix_rank(R) < q:
         raise DomainError("restriction matrix is rank deficient")
     dev = R @ fit.coefficients - r
@@ -120,7 +122,7 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     for (rows, where), beta in zip(systems, solve_ols(Xs, ys, [t.label for t in spec.regressors])):
         e = y[rows] - X[rows] @ beta
         ssrs.append(float(e @ e))
-        reject_exact_fit(ssrs[-1], y[rows], where)
+        reject_exact_fit(ssrs[-1], X[rows], beta, where)
     ssr, ssr1, ssr2 = ssrs
     F = max(((ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
     # 2 (ll1 + ll2 - ll) with the constants cancelled: ratios of variances,
@@ -142,9 +144,10 @@ def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, q: int) -> Tes
     """LM test from the auxiliary regression of u on Xa, whose last q columns
     are under test: F on (q, T - p) for p auxiliary columns, and T*R^2 on q."""
     T, p = Xa.shape
-    resid = u - Xa @ solve_ols(Xa, u)
+    beta = solve_ols(Xa, u)
+    resid = u - Xa @ beta
     ssr = float(resid @ resid)
-    reject_exact_fit(ssr, u, " in the auxiliary regression")
+    reject_exact_fit(ssr, Xa, beta, " in the auxiliary regression")
     tss = float(np.sum((u - u.mean()) ** 2))
     # F from SSR / TSS, not 1 - r2, which rounds to 0 below eps/2
     unexplained = ssr / tss if tss > 0 else 1.0
@@ -191,6 +194,8 @@ def breusch_godfrey_test(fit: FitResult, lags: int = 1) -> TestReport:
     The auxiliary regression adds lagged residuals to the original
     regressors, with pre-sample residuals set to zero.
     """
+    if not isinstance(lags, (int, np.integer)):
+        raise ConfigError(f"lag order must be an integer, got {lags!r}")
     if lags < 1:
         raise ConfigError(f"lag order must be >= 1, got {lags}")
     e = fit.residuals.values

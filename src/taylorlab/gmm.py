@@ -19,8 +19,8 @@ from . import dist
 from .errors import ConfigError
 from .hac import HacConfig, coef_cov, moment_root
 from .ols import (
-    CONST, Estimate, RegressionSpec, Term, auto_sample, build_design, coerce_terms, inference,
-    solve_ols, summarize, term_columns,
+    CONST, Estimate, RegressionSpec, Term, build_design, coerce_terms, inference, solve_ols,
+    summarize, term_columns,
 )
 from .records import Record
 from .series import Dataset
@@ -60,13 +60,7 @@ class GmmResult(Estimate):
 def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
     """Estimate a linear model by instrumented GMM."""
     base = spec.base
-    if base.sample is None:
-        terms = [base.dependent, *base.regressors, *spec.instruments]
-        base = RegressionSpec(
-            base.dependent, base.regressors, base.include_constant, auto_sample(d, terms),
-            base.covariance,
-        )
-    y, X, sample = build_design(d, base)
+    y, X, sample = build_design(d, base, spec.instruments)
     T, k = X.shape
     Z = term_columns(d, spec.instruments, *sample)
     over_id = Z.shape[1] - k
@@ -89,5 +83,5 @@ def fit_linear_gmm(d: Dataset, spec: GmmSpec) -> GmmResult:
         sample=sample,
         # reported covariance: re-weight with the final residuals
         **inference(beta, coef_cov(X, Z, e, spec.weighting), T - k),
-        **summarize(y, e, k, base.has_constant),
+        **summarize(y, e, X, beta, base.has_constant),
     )

@@ -13,8 +13,11 @@ class HacConfig(Record):
     _fields = ("bandwidth",)
 
     def __init__(self, bandwidth: int | None = None):  # None: sample-size rule
-        if bandwidth is not None and bandwidth < 1:
-            raise ConfigError(f"bandwidth must be >= 1, got {bandwidth}")
+        if bandwidth is not None:
+            if not isinstance(bandwidth, (int, np.integer)):
+                raise ConfigError(f"bandwidth must be an integer, got {bandwidth!r}")
+            if bandwidth < 1:
+                raise ConfigError(f"bandwidth must be >= 1, got {bandwidth}")
         self.__dict__.update(bandwidth=bandwidth)
 
 

@@ -35,10 +35,6 @@ _QUARTER_OF = {f"{m:02d}": (m - 1) // 3 for m in range(1, 13)}
 _QUARTER_OF.update({str(q): q - 1 for q in range(1, 5)})
 
 
-def _quarter(index: int) -> Quarter:
-    return Quarter(index // 4, index % 4 + 1)
-
-
 def _is_number(cell) -> bool:
     """Whether a cell converts with ``float``; a JSON boolean does not count."""
     try:
@@ -78,7 +74,7 @@ def _decode(
         end = next(i for i in range(1, end) if index[i] != index[i - 1] + 1)
         problem = ("duplicate quarter" if index[end] == index[end - 1]
                    else "not consecutive (gap or order) at")
-        fault = f"{source}, row {numbers[end]}: {problem} {_quarter(index[end])}"
+        fault = f"{source}, row {numbers[end]}: {problem} {Quarter.from_index(index[end])}"
 
     flat = list(chain.from_iterable(cells[:end]))  # row by row
     try:
@@ -96,7 +92,7 @@ def _decode(
         raise IngestError(fault)
     if not end:
         raise IngestError(f"{source} holds no observations")
-    start = _quarter(index[0])
+    start = Quarter.from_index(index[0])
     return {name: Series(name, start, values[col::k]) for col, name in enumerate(names)}
 
 

@@ -58,13 +58,14 @@ class RegressionSpec(Record):
     """Declarative model: dependent, ordered regressors, sample, covariance.
 
     The constant is the literal term ``const`` and may sit anywhere in the
-    regressor list; ``include_constant`` appends it at the end when absent.
-    ``sample`` is a (start, end) Quarter pair, or None for the maximal
-    sample the regressors allow. ``covariance`` is None for the classical
-    estimator or a HacConfig for Newey-West.
+    regressor list. ``include_constant`` is a constructor switch, not a
+    field: it appends ``const`` at the end when absent, and ``has_constant``
+    reads the terms. ``sample`` is a (start, end) Quarter pair, or None for
+    the maximal sample the regressors allow. ``covariance`` is None for the
+    classical estimator or a HacConfig for Newey-West.
     """
 
-    _fields = ("dependent", "regressors", "include_constant", "sample", "covariance")
+    _fields = ("dependent", "regressors", "sample", "covariance")
 
     def __init__(
         self, dependent: Term | str, regressors, include_constant: bool = True,
@@ -78,11 +79,15 @@ class RegressionSpec(Record):
             raise ConfigError("model needs at least one regressor or a constant")
         if dep in regs:
             raise ConfigError(f"dependent variable {dep.label} cannot also be a regressor")
+        if sample is not None and not (
+            isinstance(sample, tuple) and len(sample) == 2
+            and all(isinstance(q, Quarter) for q in sample)
+        ):
+            raise ConfigError(f"sample must be None or a pair of Quarters, got {sample!r}")
         if covariance is not None and not isinstance(covariance, HacConfig):
             raise ConfigError(f"unknown covariance estimator {covariance!r}")
         self.__dict__.update(
-            dependent=dep, regressors=tuple(regs), include_constant=include_constant,
-            sample=sample, covariance=covariance,
+            dependent=dep, regressors=tuple(regs), sample=sample, covariance=covariance
         )
 
     @property
@@ -122,15 +127,14 @@ class FitResult(Estimate):
     """Complete estimation output of one least-squares run: the estimate
     plus its spec, residual series and information criteria.
 
-    ``x_matrix`` and ``y_vector`` are the design matrix and dependent
-    vector over the adjusted sample. The White and Breusch-Godfrey tests
-    build their auxiliary regressions from ``x_matrix`` and the residuals;
-    nothing in the package reads ``y_vector``.
+    ``x_matrix`` is the design matrix over the adjusted sample. The White
+    and Breusch-Godfrey tests build their auxiliary regressions from it and
+    the residuals.
     """
 
     _fields = Estimate._fields + (
         "spec", "residuals", "log_likelihood", "f_statistic", "f_prob", "aic", "schwarz",
-        "hannan_quinn", "x_matrix", "y_vector",
+        "hannan_quinn", "x_matrix",
     )
 
 
@@ -210,7 +214,7 @@ def auto_sample(d: Dataset, terms) -> tuple[Quarter, Quarter]:
     last = min(span[2] for span in spans)
     if last < first:
         raise SampleError("regressors share no common quarter")
-    return Quarter(first // 4, first % 4 + 1), Quarter(last // 4, last % 4 + 1)
+    return Quarter.from_index(first), Quarter.from_index(last)
 
 
 def term_columns(d: Dataset, terms, start: Quarter, end: Quarter) -> np.ndarray:
@@ -225,39 +229,47 @@ def term_columns(d: Dataset, terms, start: Quarter, end: Quarter) -> np.ndarray:
 
 
 def build_design(
-    d: Dataset, spec: RegressionSpec
+    d: Dataset, spec: RegressionSpec, instruments=()
 ) -> tuple[np.ndarray, np.ndarray, tuple[Quarter, Quarter]]:
     """Dependent vector, design matrix and adjusted sample for a spec. Each
-    column is sliced from its series' values by quarter index."""
-    terms = [spec.dependent, *spec.regressors]
+    column is sliced from its series' values by quarter index. An automatic
+    sample (``spec.sample`` None) is the widest over which the dependent,
+    the regressors and the ``instruments`` terms are all observed."""
+    terms = [spec.dependent, *spec.regressors, *instruments]
     start, end = spec.sample if spec.sample is not None else auto_sample(d, terms)
     X = term_columns(d, spec.regressors, start, end)
     return _window(d, spec.dependent, start, end), X, (start, end)
 
 
-def reject_exact_fit(ssr: float, y: np.ndarray, where: str = "") -> None:
-    """Raise ``CollinearityError`` when SSR <= (eps * T)^2 * y'y: y is then an
-    exact linear combination of the regressors up to rounding, and the
-    residuals are rounding noise. The scale is y'y, not the TSS of R^2, which
-    is zero for a constant y. ``where`` is appended to the message."""
-    if ssr <= (np.finfo(float).eps * len(y)) ** 2 * float(y @ y):
+def reject_exact_fit(ssr: float, X: np.ndarray, beta: np.ndarray, where: str = "") -> None:
+    """Raise ``CollinearityError`` when SSR <= (eps * T)^2 * |f|^2 for
+    f = |X| |beta|, the size of each observation's fitted terms: y is then an
+    exact linear combination of the regressors up to rounding. The rounding
+    level of the residuals scales with f, not with y, which is much smaller
+    where the fitted terms cancel. Each |x_j||b_j| survives a power-of-two
+    column scaling exactly, so the rule is unit-free. ``where`` is appended
+    to the message."""
+    f = np.abs(X) @ np.abs(beta)
+    if ssr <= (np.finfo(float).eps * len(f)) ** 2 * float(f @ f):
         raise CollinearityError(
             f"dependent variable is an exact linear combination of the regressors{where}"
         )
 
 
-def summarize(y: np.ndarray, e: np.ndarray, k: int, has_constant: bool) -> dict:
+def summarize(
+    y: np.ndarray, e: np.ndarray, X: np.ndarray, beta: np.ndarray, has_constant: bool
+) -> dict:
     """Summary block shared by plain and instrumented fits, from the
-    dependent vector, the residuals and the number of parameters.
+    dependent vector, the residuals, the design and the coefficients.
     An exact fit raises (``reject_exact_fit``).
     """
-    T = len(y)
+    T, k = X.shape
     ssr = float(e @ e)
     mean = float(y.mean())
     dev = y - mean
     dev2 = float(np.sum(dev * dev))  # pairwise, as np.std sums it
     tss = dev2 if has_constant else float(y @ y)
-    reject_exact_fit(ssr, y)
+    reject_exact_fit(ssr, X, beta)
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
     dw = float(np.sum(np.diff(e) ** 2) / ssr)
@@ -300,7 +312,7 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
     labels = tuple(t.label for t in spec.regressors)
     beta = solve_ols(X, y, labels)
     e = y - X @ beta
-    stats = summarize(y, e, k, spec.has_constant)
+    stats = summarize(y, e, X, beta, spec.has_constant)
 
     r2 = stats["r2"]
     if spec.has_constant and k > 1 and r2 < 1.0:
@@ -322,7 +334,6 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
         schwarz=(-2.0 * ll + k * math.log(T)) / T,
         hannan_quinn=(-2.0 * ll + 2.0 * k * math.log(math.log(T))) / T,
         x_matrix=X,
-        y_vector=y,
         **inference(beta, coef_cov(X, X, e, spec.covariance), T - k),
         **stats,
     )

@@ -18,7 +18,8 @@ _QUARTER_RE = re.compile(r"^(\d{4})[-: ]?Q([1-4])$", re.IGNORECASE)
 
 
 class Quarter(Record):
-    """A calendar quarter, totally ordered by (year, q)."""
+    """A calendar quarter, totally ordered by (year, q). ``>`` and ``>=``
+    come from the reflected ``__lt__`` and ``__le__``."""
 
     _fields = ("year", "q")
 
@@ -37,16 +38,6 @@ class Quarter(Record):
             return (self.year, self.q) <= (other.year, other.q)
         return NotImplemented
 
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.year, self.q) > (other.year, other.q)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.year, self.q) >= (other.year, other.q)
-        return NotImplemented
-
     @classmethod
     def parse(cls, text: str) -> "Quarter":
         """Parse forms like '1991Q1', '1991-Q1' or '1991:Q1'."""
@@ -55,14 +46,18 @@ class Quarter(Record):
             raise DomainError(f"cannot parse quarter {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
 
+    @classmethod
+    def from_index(cls, i: int) -> "Quarter":
+        """The quarter at position ``i`` of the absolute axis; inverse of ``index``."""
+        return cls(i // 4, i % 4 + 1)
+
     @property
     def index(self) -> int:
         """Position on the absolute quarter axis (year 0 Q1 = 0)."""
         return self.year * 4 + (self.q - 1)
 
     def offset(self, k: int) -> "Quarter":
-        i = self.index + k
-        return Quarter(i // 4, i % 4 + 1)
+        return Quarter.from_index(self.index + k)
 
     def __sub__(self, other: "Quarter") -> int:
         return self.index - other.index

@@ -76,6 +76,17 @@ class TestWald:
         with pytest.raises(DomainError):
             wald_test(fit, np.eye(5), np.zeros(5))
 
+    @pytest.mark.parametrize("R,r", [
+        ([[0.0, np.nan, 0.0]], [0.0]),
+        ([[0.0, 1.0, 0.0]], [np.nan]),
+        ([[0.0, np.inf, 0.0]], [0.0]),
+        ([[0.0, 1.0, 0.0]], [-np.inf]),
+    ], ids=["nan-R", "nan-r", "inf-R", "inf-r"])
+    def test_non_finite_restrictions_rejected(self, R, r):
+        fit = _random_fit(np.random.default_rng(57))
+        with pytest.raises(DomainError, match="restrictions must be finite"):
+            wald_test(fit, np.array(R), np.array(r))
+
     def test_overflowing_statistic_rejected(self):
         fit = _random_fit(np.random.default_rng(56))
         R = np.array([[0.0, 1.0, 0.0]])
@@ -183,6 +194,17 @@ class TestChow:
         d = _toy_dataset({"y": 1.0 + 2.0 * x, "x": x})
         with pytest.raises(CollinearityError, match="regressors$"):
             chow_breakpoint_test(d, RegressionSpec("y", ("x",)), Quarter(2005, 1))
+
+    def test_regime_exact_fit_of_cancelling_terms_raises(self):
+        # the first six quarters are the exact fit of
+        # tests/test_ols.py::TestFitOls::test_exact_fit_of_cancelling_terms_rejected
+        rng = np.random.default_rng(67)
+        x1 = np.r_[3.0, -1.0, 4.0, 1.0, -5.0, 9.0, rng.normal(size=24)]
+        x2 = x1 + np.r_[1e-3 * np.array([2.0, 7.0, -1.0, 8.0, 2.0, -8.0]), rng.normal(size=24)]
+        y = 1e5 * x1 - 1e5 * x2 + 0.5 + np.r_[np.zeros(6), rng.normal(size=24)]
+        d = _toy_dataset({"y": y, "x1": x1, "x2": x2})
+        with pytest.raises(CollinearityError, match="over the regime 2000Q1..2001Q2$"):
+            chow_breakpoint_test(d, RegressionSpec("y", ("x1", "x2")), Quarter(2001, 3))
 
     def test_regime_collinearity_names_column(self):
         # a dummy that is zero before the break is collinear in regime one
@@ -397,6 +419,12 @@ class TestBreuschGodfrey:
         fit = _random_fit(np.random.default_rng(62))
         with pytest.raises(ConfigError):
             breusch_godfrey_test(fit, lags=0)
+
+    @pytest.mark.parametrize("lags", [1.5, 2.0, float("nan"), "2"])
+    def test_non_integer_lags_rejected(self, lags):
+        fit = _random_fit(np.random.default_rng(62))
+        with pytest.raises(ConfigError, match="lag order must be an integer"):
+            breusch_godfrey_test(fit, lags=lags)
 
     def test_sample_too_small_for_lags(self):
         rng = np.random.default_rng(63)

@@ -6,7 +6,7 @@ import pytest
 from taylorlab.errors import CollinearityError, ConfigError
 from taylorlab.gmm import GmmSpec, fit_linear_gmm
 from taylorlab.hac import HacConfig
-from taylorlab.ols import RegressionSpec, fit_ols
+from taylorlab.ols import Estimate, RegressionSpec, auto_sample, fit_ols
 from taylorlab.series import Dataset, Quarter, Series
 
 
@@ -123,6 +123,22 @@ class TestReproduction:
         assert gmm.coef("inflation_gap") == pytest.approx(1.132567, abs=5e-3)
         assert gmm.j_statistic == pytest.approx(2.397154, rel=0.015)
         assert gmm.j_prob == pytest.approx(0.121556, abs=5e-3)
+
+    @pytest.mark.parametrize("weighting", [None, HacConfig()], ids=["classical", "hac"])
+    def test_automatic_sample_spans_the_instruments(self, us_data, weighting):
+        # sample None: the widest sample over dependent, regressors and
+        # instruments, which the lagged instruments shorten
+        spec = GmmSpec(_REPRO, _INSTRUMENTS, weighting)
+        base = spec.base
+        sample = auto_sample(us_data, [base.dependent, *base.regressors, *spec.instruments])
+        explicit = RegressionSpec(base.dependent, base.regressors, sample=sample)
+        got = fit_linear_gmm(us_data, spec)
+        want = fit_linear_gmm(us_data, GmmSpec(explicit, _INSTRUMENTS, weighting))
+        assert got.sample == want.sample == sample != auto_sample(
+            us_data, [base.dependent, *base.regressors])
+        for field in Estimate._fields + ("j_statistic", "j_prob", "instrument_rank"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert np.array_equal(a, b, equal_nan=isinstance(a, float)), field
 
     def test_j_prob_uses_overidentifying_df(self, us_data):
         gmm = fit_linear_gmm(us_data, GmmSpec(_REPRO, _INSTRUMENTS))

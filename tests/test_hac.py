@@ -190,3 +190,11 @@ class TestHacConfig:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ConfigError):
             HacConfig(bandwidth=0)
+
+    @pytest.mark.parametrize("bandwidth", [2.5, 5.0, float("nan"), "5"])
+    def test_rejects_non_integer_bandwidth(self, bandwidth):
+        with pytest.raises(ConfigError, match="bandwidth must be an integer"):
+            HacConfig(bandwidth)
+
+    def test_numpy_integer_bandwidth_accepted(self):
+        assert HacConfig(np.int64(5)) == HacConfig(5)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from taylorlab.errors import CollinearityError, ConfigError, SampleError
 from taylorlab.hac import HacConfig
-from taylorlab.ols import RegressionSpec, Term, fit_ols, solve_ols, summarize
+from taylorlab.ols import RegressionSpec, Term, build_design, fit_ols, solve_ols, summarize
 from taylorlab.series import Dataset, Quarter, Series
 
 
@@ -52,6 +52,27 @@ class TestTermParsing:
         assert spec.regressors[0] == Term("y", 1)
 
 
+class TestRegressionSpec:
+    def test_constant_is_only_a_term(self):
+        # include_constant only appends a missing const; it is not stored
+        plain = RegressionSpec("it", ("inflation_gap", "const"))
+        flagged = RegressionSpec("it", ("inflation_gap", "const"), include_constant=False)
+        assert flagged == plain and hash(flagged) == hash(plain)
+        assert flagged.has_constant
+        assert not RegressionSpec("it", ("inflation_gap",), include_constant=False).has_constant
+
+    @pytest.mark.parametrize("sample", [
+        ("1991Q1", "2000Q1"),
+        (Quarter(1991, 1),),
+        (Quarter(1991, 1), Quarter(2000, 1), Quarter(2001, 1)),
+        [Quarter(1991, 1), Quarter(2000, 1)],
+        Quarter(1991, 1),
+    ], ids=["strings", "one", "three", "list", "quarter"])
+    def test_sample_must_be_a_pair_of_quarters(self, sample):
+        with pytest.raises(ConfigError, match="pair of Quarters"):
+            RegressionSpec("y", ("x",), sample=sample)
+
+
 class TestSolveOls:
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(21)
@@ -91,7 +112,8 @@ class TestSummarize:
         scale = 10.0**magnitude
         y = scale * (offset + rng.normal(size=T))
         e = scale * rng.normal(size=T)
-        stats = summarize(y, e, 1, has_constant)
+        # one regressor whose fitted terms are zero: the exact-fit bound is 0
+        stats = summarize(y, e, np.ones((T, 1)), np.zeros(1), has_constant)
         assert stats["mean_dep"] == y.mean()
         assert stats["sd_dep"] == np.std(y, ddof=1)
         tss = np.sum((y - y.mean()) ** 2) if has_constant else y @ y
@@ -111,6 +133,15 @@ class TestFitOls:
         fit = fit_ols(_toy_dataset({"y": y, "x": x}), RegressionSpec("y", ("x",)))
         assert fit.coef("x") == pytest.approx(2.0, abs=1e-9)
 
+    def test_exact_fit_of_cancelling_terms_rejected(self):
+        # y = 1e5 x1 - 1e5 x2 + 0.5 with x2 close to x1: the fitted terms
+        # cancel, so y'y is far below the rounding level of the residuals
+        x1 = np.array([3.0, -1.0, 4.0, 1.0, -5.0, 9.0])
+        x2 = x1 + 1e-3 * np.array([2.0, 7.0, -1.0, 8.0, 2.0, -8.0])
+        d = _toy_dataset({"y": 1e5 * x1 - 1e5 * x2 + 0.5, "x1": x1, "x2": x2})
+        with pytest.raises(CollinearityError, match="exact linear combination"):
+            fit_ols(d, RegressionSpec("y", ("x1", "x2")))
+
     def test_us_baseline_coefficients(self, us_data):
         fit = fit_ols(us_data, RegressionSpec("it", ("inflation_gap", "output_gap", "const")))
         assert fit.n_obs == 117
@@ -122,18 +153,20 @@ class TestFitOls:
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(21)
         d = _random_dataset(rng)
-        fit = fit_ols(d, RegressionSpec("y", ("x1", "x2", "x3")))
+        spec = RegressionSpec("y", ("x1", "x2", "x3"))
+        fit = fit_ols(d, spec)
         e = np.asarray(fit.residuals.values)
-        y = fit.y_vector
+        y = build_design(d, spec)[0]
         assert np.max(np.abs(fit.x_matrix.T @ e)) < 1e-8 * np.linalg.norm(y)
         assert abs(e.mean()) < 1e-10  # constant included
 
     def test_fitted_plus_residuals_reproduce_y(self):
         rng = np.random.default_rng(22)
         d = _random_dataset(rng)
-        fit = fit_ols(d, RegressionSpec("y", ("x1", "x2")))
+        spec = RegressionSpec("y", ("x1", "x2"))
+        fit = fit_ols(d, spec)
         recon = fit.x_matrix @ fit.coefficients + np.asarray(fit.residuals.values)
-        assert np.allclose(recon, fit.y_vector, rtol=1e-12, atol=1e-12)
+        assert np.allclose(recon, build_design(d, spec)[0], rtol=1e-12, atol=1e-12)
 
     def test_adding_regressor_never_decreases_r2(self):
         rng = np.random.default_rng(23)

@@ -33,6 +33,23 @@ class TestQuarter:
         with pytest.raises(DomainError):
             Quarter(1991, 0)
 
+    def test_reflected_comparisons(self):
+        # > and >= come from the reflected __lt__ and __le__
+        assert Quarter(1991, 1) > Quarter(1990, 4)
+        assert Quarter(1991, 1) >= Quarter(1991, 1)
+        assert not Quarter(1990, 4) >= Quarter(1991, 1)
+        with pytest.raises(TypeError):
+            Quarter(1991, 1) > (1991, 1)
+        with pytest.raises(TypeError):
+            Quarter(1991, 1) >= (1991, 1)
+
+    @given(st.integers(-3000, 3000), st.integers(1, 4), st.integers(-500, 500))
+    def test_from_index_inverts_index(self, year, q, k):
+        start = Quarter(year, q)
+        assert Quarter.from_index(start.index) == start
+        assert start.offset(k) == Quarter.from_index(start.index + k)
+        assert Quarter.from_index(start.index + k).index == start.index + k
+
     @given(st.integers(1950, 2100), st.integers(1, 4), st.integers(-50, 50))
     def test_offset_roundtrip(self, year, q, k):
         start = Quarter(year, q)

@@ -91,9 +91,10 @@ def ref_chow(d, spec, break_at):
     y, X, (start, end) = build_design(d, spec)
     T, k = X.shape
     labels = [t.label for t in spec.regressors]
-    e = y - X @ solve_ols(X, y, labels)
+    beta = solve_ols(X, y, labels)
+    e = y - X @ beta
     ssr = float(e @ e)
-    reject_exact_fit(ssr, y)
+    reject_exact_fit(ssr, X, beta)
     if not (start < break_at <= end):
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
     n1 = break_at - start
@@ -102,9 +103,10 @@ def ref_chow(d, spec, break_at):
                               (slice(n1, None), break_at, end)):
         where = f" over the regime {first}..{last}"
         reject_unidentified(len(y[rows]), k, where)
-        e = y[rows] - X[rows] @ solve_ols(X[rows], y[rows], labels)
+        beta = solve_ols(X[rows], y[rows], labels)
+        e = y[rows] - X[rows] @ beta
         regimes.append(float(e @ e))
-        reject_exact_fit(regimes[-1], y[rows], where)
+        reject_exact_fit(regimes[-1], X[rows], beta, where)
     ssr1, ssr2 = regimes
     F = max(((ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
     s2 = ssr / T
