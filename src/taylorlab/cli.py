@@ -111,7 +111,7 @@ def cmd_fit(args) -> int:
 
 def _parse_restrictions(text, n_params):
     # "b1=0.5,b2=0.5": bK restricts the K-th coefficient (1-based)
-    rows, rhs = [], []
+    idxs, rhs = [], []
     for piece in text.split(","):
         try:
             lhs, value = piece.split("=")
@@ -123,11 +123,9 @@ def _parse_restrictions(text, n_params):
             raise UsageError(f"restriction value must be finite, got {piece!r}")
         if not 0 <= idx < n_params:
             raise UsageError(f"restriction index b{idx + 1} out of range")
-        row = np.zeros(n_params)
-        row[idx] = 1.0
-        rows.append(row)
+        idxs.append(idx)
         rhs.append(value)
-    return np.array(rows), np.array(rhs)
+    return np.eye(n_params)[idxs], np.array(rhs)
 
 
 def cmd_test(args) -> int:

@@ -49,10 +49,8 @@ def _f(value: float, q: int, df2: int) -> TestStatistic:
     return TestStatistic("F", value, (q, df2), dist.f_sf(value, q, df2))
 
 
-def _chi2(form: str, value: float, q: int, clamp: bool = False) -> TestStatistic:
-    # clamp: the tail is taken at max(value, 0), for a statistic that is
-    # non-negative in exact arithmetic but can round below zero
-    return TestStatistic(form, value, (q,), dist.chi2_sf(max(value, 0.0) if clamp else value, q))
+def _chi2(form: str, value: float, q: int) -> TestStatistic:
+    return TestStatistic(form, value, (q,), dist.chi2_sf(value, q))
 
 
 def wald_test(fit: FitResult, R: np.ndarray, r: np.ndarray, null: str = "") -> TestReport:
@@ -134,7 +132,10 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
         null_hypothesis="no breaks at specified breakpoints",
         statistics=(
             _f(F, k, T - 2 * k),
-            _chi2("LR", lr, k, clamp=True),
+            # LR is non-negative in exact arithmetic but can round below
+            # zero when the regimes fit as well as the pooled model, so its
+            # tail is taken at max(LR, 0)
+            TestStatistic("LR", lr, (k,), dist.chi2_sf(max(lr, 0.0), k)),
             _chi2("chi2", k * F, k),
         ),
     )

@@ -139,14 +139,10 @@ def chi2_sf(x: float, df: float) -> float:
 
 
 def student_t_sf2(t: float, df: float) -> float:
-    """Two-sided p-value 2 * P(T > |t|) for Student-t with df degrees."""
-    if df <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    """Two-sided p-value 2 * P(T > |t|) for Student-t: T^2 follows F(1, df)."""
     if math.isnan(t):
         raise DomainError("t statistic is NaN")
-    if t == 0.0:
-        return 1.0
-    return regularized_beta(df / 2.0, 0.5, df / (df + t * t))
+    return f_sf(t * t, 1, df)
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:

@@ -24,6 +24,8 @@ class Term(Record):
     _fields = ("name", "lag")
 
     def __init__(self, name: str, lag: int = 0):
+        if not isinstance(lag, (int, np.integer)) or lag < 0:
+            raise ConfigError(f"lag of {name} must be a non-negative integer, got {lag!r}")
         if name == CONST and lag:
             raise ConfigError(f"the constant takes no lag: {name}(-{lag})")
         self.__dict__.update(name=name, lag=lag)
@@ -40,9 +42,6 @@ class Term(Record):
         if self.name == CONST:
             return "C"
         return self.name if self.lag == 0 else f"{self.name}(-{self.lag})"
-
-    def resolve(self, d: Dataset) -> Series:
-        return lag(d[self.name], self.lag)
 
 
 def coerce_terms(terms) -> tuple[Term, ...]:
@@ -185,11 +184,11 @@ def _span(d: Dataset, t: Term) -> tuple[np.ndarray, int, int]:
     """The values of a non-constant term's series, and the quarter indexes
     of the term's first and last observation: the series lagged by
     ``t.lag``, without building it. A lag that the series cannot take
-    raises through ``Term.resolve``."""
+    raises through ``series.lag``."""
     s = d[t.name]
     values = s.values
-    if not 0 <= t.lag < len(values):
-        t.resolve(d)
+    if t.lag >= len(values):
+        lag(s, t.lag)
     first = s.start.index
     return values, first + t.lag, first + len(values) - 1
 
@@ -201,7 +200,7 @@ def _window(d: Dataset, t: Term, start: Quarter, end: Quarter) -> np.ndarray:
     values, first, last = _span(d, t)
     lo, hi = start.index, end.index
     if not first <= lo <= hi <= last:
-        return t.resolve(d).window(start, end)
+        return lag(d[t.name], t.lag).window(start, end)
     return values[lo - first : hi - first + 1]
 
 

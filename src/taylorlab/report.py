@@ -176,23 +176,17 @@ class GoldenCell(Record):
 class GoldenTable(Frozen):
     """A stored table's cells by label; it holds a dict, so it compares by identity."""
 
-    _fields = ("table_id", "country", "cells")
+    _fields = ("table_id", "cells")
 
-    def __init__(self, table_id: int, country: str, cells: dict[str, GoldenCell]):
-        self.__dict__.update(table_id=table_id, country=country, cells=cells)
+    def __init__(self, table_id: int, cells: dict[str, GoldenCell]):
+        self.__dict__.update(table_id=table_id, cells=cells)
 
 
 class CellDiff(Record):
-    _fields = ("label", "observed", "expected", "abs_tol", "rel_tol", "passed")
+    _fields = ("label", "observed", "expected", "passed")
 
-    def __init__(
-        self, label: str, observed: float, expected: float,
-        abs_tol: float | None, rel_tol: float | None, passed: bool,
-    ):
-        self.__dict__.update(
-            label=label, observed=observed, expected=expected,
-            abs_tol=abs_tol, rel_tol=rel_tol, passed=passed,
-        )
+    def __init__(self, label: str, observed: float, expected: float, passed: bool):
+        self.__dict__.update(label=label, observed=observed, expected=expected, passed=passed)
 
 
 class GoldenDiff(Record):
@@ -217,7 +211,7 @@ def load_golden(table_id: int) -> GoldenTable:
     cells = {
         label: GoldenCell(v[0], v[1], v[2]) for label, v in payload["cells"].items()
     }
-    return GoldenTable(payload["table_id"], payload["country"], cells)
+    return GoldenTable(payload["table_id"], cells)
 
 
 def compare_golden(result, golden: GoldenTable) -> GoldenDiff:
@@ -236,7 +230,7 @@ def compare_golden(result, golden: GoldenTable) -> GoldenDiff:
             ok = True
         if cell.rel_tol is not None and err <= cell.rel_tol * abs(cell.expected):
             ok = True
-        rows.append(CellDiff(label, obs, cell.expected, cell.abs_tol, cell.rel_tol, ok))
+        rows.append(CellDiff(label, obs, cell.expected, ok))
     return GoldenDiff(golden.table_id, tuple(rows))
 
 

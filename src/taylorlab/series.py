@@ -24,8 +24,10 @@ class Quarter(Record):
     _fields = ("year", "q")
 
     def __init__(self, year: int, q: int):
-        if q not in (1, 2, 3, 4):
-            raise DomainError(f"quarter number must be 1..4, got {q}")
+        if not isinstance(year, (int, np.integer)):
+            raise DomainError(f"year must be an integer, got {year!r}")
+        if not isinstance(q, (int, np.integer)) or q not in (1, 2, 3, 4):
+            raise DomainError(f"quarter number must be 1..4, got {q!r}")
         self.__dict__.update(year=year, q=q)
 
     def __lt__(self, other):

@@ -62,8 +62,7 @@ def hac_spec() -> RegressionSpec:
 def _wald_equal_weights(fit):
     # EViews-style restriction on the first two coefficients of the
     # printed ordering: C(1)=0.5, C(2)=0.5.
-    R = np.zeros((2, fit.n_params))
-    R[0, 0] = R[1, 1] = 1.0
+    R = np.eye(2, fit.n_params)
     return wald_test(fit, R, np.array([0.5, 0.5]), null="coefficients are equally weighted")
 
 

@@ -1,25 +1,25 @@
 """Property test: designs sliced from quarter indexes equal designs built from
-resolved, lagged series. ``auto_sample``, ``term_columns`` and
+lagged series. ``auto_sample``, ``term_columns`` and
 ``build_design`` must return bit-identical arrays and the same quarters as
-the resolve-based reference below, or raise the same error type and text."""
+the lag-based reference below, or raise the same error type and text."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from taylorlab.errors import SampleError, TaylorLabError
+from taylorlab.errors import ConfigError, SampleError, TaylorLabError
 from taylorlab.gmm import GmmSpec, fit_linear_gmm
 from taylorlab.ols import (
     CONST, RegressionSpec, Term, auto_sample, build_design, fit_ols, term_columns,
 )
-from taylorlab.series import Dataset, Quarter, Series, common_span
+from taylorlab.series import Dataset, Quarter, Series, common_span, lag
 
 
-# The reference: every term resolved to a lagged Series, every window taken
+# The reference: every term built as a lagged Series, every window taken
 # through Series.window.
 def ref_auto_sample(d, terms):
-    resolved = [t.resolve(d) for t in terms if t.name != CONST]
+    resolved = [lag(d[t.name], t.lag) for t in terms if t.name != CONST]
     if not resolved:
         raise SampleError("cannot infer a sample from a constant-only model")
     start, end = common_span(resolved)
@@ -32,7 +32,7 @@ def ref_term_columns(d, terms, start, end):
     if end < start:
         raise SampleError(f"empty sample range {start}..{end}")
     return np.column_stack([
-        np.ones(end - start + 1) if t.name == CONST else t.resolve(d).window(start, end)
+        np.ones(end - start + 1) if t.name == CONST else lag(d[t.name], t.lag).window(start, end)
         for t in terms
     ])
 
@@ -41,7 +41,8 @@ def ref_build_design(d, spec):
     terms = [spec.dependent, *spec.regressors]
     start, end = spec.sample if spec.sample is not None else ref_auto_sample(d, terms)
     X = ref_term_columns(d, spec.regressors, start, end)
-    return spec.dependent.resolve(d).window(start, end), X, (start, end)
+    dep = spec.dependent
+    return lag(d[dep.name], dep.lag).window(start, end), X, (start, end)
 
 
 def _outcome(fn, *args):
@@ -84,11 +85,12 @@ def _quarter(i):
 
 
 # names include the constant and a series the dataset lacks; lags run from 0
-# to beyond every series' length, and one step below 0
+# to beyond every series' length (a negative lag cannot be built, see
+# test_negative_lag_is_refused)
 terms = st.builds(
-    lambda name, lag: Term(name, 0 if name == CONST else lag),
+    lambda name, k: Term(name, 0 if name == CONST else k),
     st.sampled_from(NAMES + (CONST, "missing")),
-    st.integers(-1, 14),
+    st.integers(0, 14),
 )
 # quarters around the data's span: either side of it, possibly inverted
 quarters = st.integers(BASE - 2, BASE + 24).map(_quarter)
@@ -118,6 +120,12 @@ def test_build_design_matches_reference(d, dep, regs, sample):
     except TaylorLabError:  # duplicate terms, or the dependent among them
         assume(False)
     assert _outcome(build_design, d, spec) == _outcome(ref_build_design, d, spec)
+
+
+def test_negative_lag_is_refused():
+    # refused where the term is built, not when a fit lags its series
+    with pytest.raises(ConfigError, match="lag of a must be a non-negative integer, got -1"):
+        Term("a", -1)
 
 
 def _count_series(monkeypatch):

@@ -188,6 +188,17 @@ class TestChow:
         chow_breakpoint_test(us_data, hac_spec(), Quarter(2003, 1))
         assert calls == []
 
+    def test_negative_lr_takes_the_tail_at_zero(self):
+        # two identical regimes fit exactly as well as the pooled model, so
+        # LR is zero in exact arithmetic; here it rounds to about -8.9e-15
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=20)
+        y = 1.0 + 2.0 * x + rng.normal(size=20)
+        d = _toy_dataset({"y": np.tile(y, 2), "x": np.tile(x, 2)})
+        lr = chow_breakpoint_test(d, RegressionSpec("y", ("x",)), Quarter(2005, 1)).stat("LR")
+        assert np.isfinite(lr.value)
+        assert lr.p == pytest.approx(1.0, abs=1e-12)
+
     def test_pooled_exact_fit_raises(self):
         rng = np.random.default_rng(66)
         x = rng.normal(size=40)

@@ -39,6 +39,14 @@ class TestTermParsing:
             Term.parse("const(-1)")
         assert Term.parse("const(-0)") == Term("const", 0)
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1", None])
+    def test_lag_must_be_an_integer(self, k):
+        with pytest.raises(ConfigError, match="lag of x must be a non-negative integer"):
+            Term("x", k)
+
+    def test_numpy_integer_lag(self):
+        assert Term("x", np.int64(2)) == Term("x", 2)
+
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ConfigError):
             RegressionSpec("y", ("x", "x"))

@@ -139,26 +139,26 @@ class TestCompareGolden:
         golden = load_golden(1)
         bad = dict(golden.cells)
         bad["coef:inflation_gap"] = GoldenCell(5.0, 0.005, 0.01)
-        diff = compare_golden(us_fit, GoldenTable(1, "us", bad))
+        diff = compare_golden(us_fit, GoldenTable(1, bad))
         assert not diff.passed
         failing = [r for r in diff.rows if not r.passed]
         assert [r.label for r in failing] == ["coef:inflation_gap"]
 
     def test_unknown_label_raises(self, us_fit):
-        golden = GoldenTable(1, "us", {"coef:nope": GoldenCell(1.0, 0.1, None)})
+        golden = GoldenTable(1, {"coef:nope": GoldenCell(1.0, 0.1, None)})
         with pytest.raises(ConfigError, match="coef:nope"):
             compare_golden(us_fit, golden)
 
     def test_tolerance_is_abs_or_rel(self, us_fit):
         obs = flatten(us_fit)["coef:inflation_gap"]
         # passes on the absolute leg even with a hopeless relative one
-        g1 = GoldenTable(1, "us", {"coef:inflation_gap": GoldenCell(obs + 0.004, 0.005, 1e-12)})
+        g1 = GoldenTable(1, {"coef:inflation_gap": GoldenCell(obs + 0.004, 0.005, 1e-12)})
         assert compare_golden(us_fit, g1).passed
         # passes on the relative leg even with a hopeless absolute one
-        g2 = GoldenTable(1, "us", {"coef:inflation_gap": GoldenCell(obs * 1.001, 1e-12, 0.01)})
+        g2 = GoldenTable(1, {"coef:inflation_gap": GoldenCell(obs * 1.001, 1e-12, 0.01)})
         assert compare_golden(us_fit, g2).passed
         # fails when both legs miss
-        g3 = GoldenTable(1, "us", {"coef:inflation_gap": GoldenCell(obs + 1.0, 0.005, 0.01)})
+        g3 = GoldenTable(1, {"coef:inflation_gap": GoldenCell(obs + 1.0, 0.005, 0.01)})
         assert not compare_golden(us_fit, g3).passed
 
 
@@ -170,7 +170,7 @@ class TestRenderDiff:
         assert f"({len(diff.rows)}/{len(diff.rows)} cells)" in text
 
     def test_failing_cells_marked(self, us_fit):
-        golden = GoldenTable(1, "us", {"coef:inflation_gap": GoldenCell(9.9, 1e-9, 1e-9)})
+        golden = GoldenTable(1, {"coef:inflation_gap": GoldenCell(9.9, 1e-9, 1e-9)})
         text = render_diff(compare_golden(us_fit, golden))
         assert "FAIL" in text
 
@@ -193,7 +193,7 @@ class TestNumberFormat:
         assert len(text) <= 13
 
     def test_diff_keeps_fixed_point_probabilities(self, us_fit):
-        golden = GoldenTable(1, "us", {
+        golden = GoldenTable(1, {
             "p:C": GoldenCell(0.0, 1e-4, None),
             "ssr": GoldenCell(1e12, None, 1e-6),
         })

@@ -33,6 +33,20 @@ class TestQuarter:
         with pytest.raises(DomainError):
             Quarter(1991, 0)
 
+    @pytest.mark.parametrize("year", ["1991", 1991.5, 1991.0, None])
+    def test_year_must_be_an_integer(self, year):
+        with pytest.raises(DomainError, match="year must be an integer"):
+            Quarter(year, 1)
+
+    @pytest.mark.parametrize("q", [1.0, "1"])
+    def test_quarter_must_be_an_integer_1_to_4(self, q):
+        with pytest.raises(DomainError, match="quarter number must be 1..4"):
+            Quarter(1991, q)
+
+    def test_numpy_integer_year(self):
+        q = Quarter(np.int64(1991), 1)
+        assert q == Quarter(1991, 1) and q.index == Quarter(1991, 1).index
+
     def test_reflected_comparisons(self):
         # > and >= come from the reflected __lt__ and __le__
         assert Quarter(1991, 1) > Quarter(1990, 4)
