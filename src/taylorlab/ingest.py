@@ -205,6 +205,17 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise FetchError(f"cannot write cache file {path}: {exc}") from exc
 
 
+def _holds(path: Path, data: bytes) -> bool:
+    """Whether ``path`` holds exactly ``data``; a file that cannot be read does not."""
+    try:
+        # non-blocking: a FIFO at the path reads as empty instead of waiting for a writer
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        with open(fd, "rb") as fh:
+            return fh.read(len(data) + 1) == data
+    except OSError:
+        return False
+
+
 def _decode_observations(name: str, raw: bytes) -> Series:
     """One series from a FRED payload, whose dates come in ascending order."""
     try:
@@ -225,13 +236,15 @@ def _decode_observations(name: str, raw: bytes) -> Series:
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
     """Fetch the four core series of a FRED source.
 
-    Each series id is requested once from ``base_url``, and the raw response
-    is written to the cache directory once it decodes, so a response that
-    does not decode leaves the last good copy in place. Only when the
-    request fails with an ``OSError`` (``URLError`` included) is the cached
-    copy read instead. A cache that cannot be created, written or read
-    raises ``FetchError`` naming the path. ``http_get`` may be injected for
-    testing.
+    Each series id is requested once from ``base_url``. A response that is
+    not ``bytes`` or ``bytearray`` raises ``FetchError`` naming the series
+    id. The cached copy is replaced only when the decoded response differs
+    from the cached copy, so a response that does not decode leaves the
+    last good copy in place, and an unchanged one writes nothing. Only when
+    the request fails with an ``OSError`` (``URLError`` included) is the
+    cached copy read instead. A cache that cannot be created, written or
+    read raises ``FetchError`` naming the path. ``http_get`` may be
+    injected for testing.
     """
     import urllib.parse
     from pathlib import Path
@@ -263,7 +276,10 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
             except OSError as err:
                 raise FetchError(f"cannot read cached copy {cache_path}: {err}") from err
+        if not isinstance(raw, (bytes, bytearray)):
+            raise FetchError(f"fetch of {sid!r} returned {type(raw).__name__}, not bytes")
         series[role] = _decode_observations(role, raw)
-        if fresh:  # only a response that decodes replaces the cached copy
+        # only a response that decodes and differs replaces the cached copy
+        if fresh and not _holds(cache_path, raw):
             _atomic_write(cache_path, raw)
     return Dataset(desc.country, series)

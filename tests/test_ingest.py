@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import threading
 import urllib.error
 import urllib.parse
 from pathlib import Path
@@ -448,6 +449,123 @@ class TestCacheFailures:
         (tmp_path / "cache").write_text("a file, not a directory")
         with pytest.raises(FetchError, match=f"cannot create cache directory {tmp_path}"):
             fetch_series(_remote_descriptor(tmp_path), http_get=lambda url: _payload())
+
+
+def _cache_state(desc):
+    """Each role's cache file as (inode, mtime in ns, bytes)."""
+    state = {}
+    for role in CORE_SERIES:
+        path = _cache_path(desc, role)
+        st = path.stat()
+        state[role] = (st.st_ino, st.st_mtime_ns, path.read_bytes())
+    return state
+
+
+def _get_by_role(desc, payloads):
+    """An ``http_get`` serving ``payloads[role]`` for each role's series id."""
+    roles = {sid: role for role, sid in desc.series_ids.items()}
+
+    def get(url):
+        query = urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)
+        return payloads[roles[query["series_id"][0]]]
+
+    return get
+
+
+class TestCacheRewrite:
+    # a response that decodes replaces its cached copy only when its bytes differ
+
+    def test_identical_refetch_leaves_every_file_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fetch_series(desc, http_get=lambda url: _payload())
+        before = _cache_state(desc)
+        d = fetch_series(desc, http_get=lambda url: _payload())
+        assert _cache_state(desc) == before
+        assert d["cpi"].values[0] == 100.0
+
+    def test_only_the_changed_series_is_rewritten(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        payloads = {role: _payload(base=100.0) for role in CORE_SERIES}
+        fetch_series(desc, http_get=_get_by_role(desc, payloads))
+        before = _cache_state(desc)
+        payloads["cpi"] = _payload(base=500.0)  # the same length, other bytes
+        assert len(payloads["cpi"]) == len(payloads["real_gdp"])
+        d = fetch_series(desc, http_get=_get_by_role(desc, payloads))
+        after = _cache_state(desc)
+        assert [role for role in CORE_SERIES if after[role] != before[role]] == ["cpi"]
+        assert after["cpi"][0] != before["cpi"][0]  # replaced, not written in place
+        assert after["cpi"][2] == payloads["cpi"]
+        assert d["cpi"].values[0] == 500.0
+
+    def test_identical_refetch_needs_no_write(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        monkeypatch.setattr(ingest.os, "replace", _no_space)
+        # a changed response still fails: test_failed_write_does_not_serve_stale_copy
+        d = fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        assert d["real_gdp"].values[0] == 100.0
+
+    @pytest.mark.parametrize(
+        "stale", [lambda raw: raw[:-1], lambda raw: raw + b" ", lambda raw: b""],
+        ids=["strict-prefix", "longer", "empty"],
+    )
+    def test_cached_copy_of_another_length_is_rewritten(self, tmp_path, monkeypatch, stale):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        raw = _payload()
+        for role in CORE_SERIES:
+            path = _cache_path(desc, role)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(stale(raw))
+        fetch_series(desc, http_get=lambda url: raw)
+        assert {_cache_path(desc, role).read_bytes() for role in CORE_SERIES} == {raw}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_at_the_cache_path_is_replaced_without_waiting(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fifo = _cache_path(desc, "cpi")
+        fifo.parent.mkdir(parents=True)
+        os.mkfifo(fifo)
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(fetch_series(desc, http_get=lambda url: _payload())),
+            daemon=True,  # a fetch stuck opening the pipe must not keep the session alive
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and len(done) == 1
+        assert fifo.read_bytes() == _payload()
+
+    @pytest.mark.parametrize(
+        "convert", [bytes.decode, lambda raw: None, memoryview, list],
+        ids=["str", "None", "memoryview", "list"],
+    )
+    def test_non_bytes_response_is_rejected_before_decoding(self, tmp_path, monkeypatch, convert):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        name = type(convert(_payload())).__name__
+        with pytest.raises(FetchError, match=f"fetch of 'GDPC1' returned {name}, not bytes"):
+            fetch_series(desc, http_get=lambda url: convert(_payload()))
+        assert list((tmp_path / "cache").iterdir()) == []
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        before = _cache_state(desc)
+        with pytest.raises(FetchError, match=f"'GDPC1' returned {name}"):
+            fetch_series(desc, http_get=lambda url: convert(_payload(base=500.0)))
+        assert _cache_state(desc) == before
+
+    def test_bytearray_response_is_decoded_and_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        d = fetch_series(desc, http_get=lambda url: bytearray(_payload()))
+        assert d["stock_index"].values[-1] == 107.0
+        before = _cache_state(desc)
+        assert {state[2] for state in before.values()} == {_payload()}
+        fetch_series(desc, http_get=lambda url: bytearray(_payload()))
+        assert _cache_state(desc) == before
 
 
 # The row-by-row decoder that the bulk one replaced, kept as the oracle of the
