@@ -14,7 +14,7 @@ from .ols import (
     CONST, FitResult, RegressionSpec, build_design, reject_exact_fit, reject_unidentified,
     solve_ols,
 )
-from .records import Record
+from .records import Record, is_integer
 from .series import Dataset, Quarter, Series
 
 
@@ -195,7 +195,7 @@ def breusch_godfrey_test(fit: FitResult, lags: int = 1) -> TestReport:
     The auxiliary regression adds lagged residuals to the original
     regressors, with pre-sample residuals set to zero.
     """
-    if not isinstance(lags, (int, np.integer)):
+    if not is_integer(lags):
         raise ConfigError(f"lag order must be an integer, got {lags!r}")
     if lags < 1:
         raise ConfigError(f"lag order must be >= 1, got {lags}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CollinearityError, ConfigError, DomainError
-from .records import Record
+from .records import Record, is_integer
 
 
 class HacConfig(Record):
@@ -14,7 +14,7 @@ class HacConfig(Record):
 
     def __init__(self, bandwidth: int | None = None):  # None: sample-size rule
         if bandwidth is not None:
-            if not isinstance(bandwidth, (int, np.integer)):
+            if not is_integer(bandwidth):
                 raise ConfigError(f"bandwidth must be an integer, got {bandwidth!r}")
             if bandwidth < 1:
                 raise ConfigError(f"bandwidth must be >= 1, got {bandwidth}")

@@ -189,8 +189,17 @@ def _cache_key(base_url: str, series_id: str) -> str:
     return hashlib.sha256(f"{base_url}|{series_id}".encode()).hexdigest()[:24]
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data``; on failure no temporary file is left."""
+def _store(path: Path, data: bytes) -> None:
+    """Make ``path`` hold ``data``: an identical file is left alone, any other
+    replaced atomically; a failed write leaves no temporary file."""
+    try:
+        # non-blocking: a FIFO at the path reads as empty instead of waiting for a writer
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        with open(fd, "rb") as fh:
+            if fh.read(len(data) + 1) == data:
+                return
+    except OSError:
+        pass  # a file that cannot be read is replaced
     import tempfile  # imported here, as are pathlib and urllib.parse: only a fetch needs them
 
     tmp = None
@@ -203,17 +212,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
         if tmp is not None:
             os.unlink(tmp)
         raise FetchError(f"cannot write cache file {path}: {exc}") from exc
-
-
-def _holds(path: Path, data: bytes) -> bool:
-    """Whether ``path`` holds exactly ``data``; a file that cannot be read does not."""
-    try:
-        # non-blocking: a FIFO at the path reads as empty instead of waiting for a writer
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-        with open(fd, "rb") as fh:
-            return fh.read(len(data) + 1) == data
-    except OSError:
-        return False
 
 
 def _decode_observations(name: str, raw: bytes) -> Series:
@@ -236,15 +234,15 @@ def _decode_observations(name: str, raw: bytes) -> Series:
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
     """Fetch the four core series of a FRED source.
 
-    Each series id is requested once from ``base_url``. A response that is
-    not ``bytes`` or ``bytearray`` raises ``FetchError`` naming the series
-    id. The cached copy is replaced only when the decoded response differs
-    from the cached copy, so a response that does not decode leaves the
-    last good copy in place, and an unchanged one writes nothing. Only when
-    the request fails with an ``OSError`` (``URLError`` included) is the
-    cached copy read instead. A cache that cannot be created, written or
-    read raises ``FetchError`` naming the path. ``http_get`` may be
-    injected for testing.
+    Each series id is requested once from ``base_url``; a request that fails
+    with an ``OSError`` (``URLError`` included) reads the cached copy
+    instead. All four responses are type-checked (``FetchError`` naming the
+    series id unless ``bytes`` or ``bytearray``) and decoded, and the
+    ``Dataset`` built, before any is stored, so a fetch that raises there
+    leaves the cache as it was. Then only a cached copy that differs from
+    its response is replaced; a write that fails part-way leaves earlier
+    files replaced. A cache that cannot be created, written or read
+    raises ``FetchError`` naming the path. ``http_get`` may be injected.
     """
     import urllib.parse
     from pathlib import Path
@@ -258,7 +256,7 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise FetchError(f"cannot create cache directory {cache_dir}: {exc}") from exc
-    series = {}
+    series, responses = {}, {}
     for role in CORE_SERIES:
         sid = desc.series_ids[role]
         query = urllib.parse.urlencode({
@@ -268,10 +266,10 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
         })
         cache_path = cache_dir / f"{_cache_key(desc.remote.base_url, sid)}.json"
         try:
-            raw, fresh = http_get(f"{desc.remote.base_url}?{query}"), True
+            raw = http_get(f"{desc.remote.base_url}?{query}")
         except OSError as exc:  # URLError and ConnectionError included
             try:
-                raw, fresh = cache_path.read_bytes(), False
+                raw = cache_path.read_bytes()
             except FileNotFoundError:
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
             except OSError as err:
@@ -279,7 +277,8 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
         if not isinstance(raw, (bytes, bytearray)):
             raise FetchError(f"fetch of {sid!r} returned {type(raw).__name__}, not bytes")
         series[role] = _decode_observations(role, raw)
-        # only a response that decodes and differs replaces the cached copy
-        if fresh and not _holds(cache_path, raw):
-            _atomic_write(cache_path, raw)
-    return Dataset(desc.country, series)
+        responses[cache_path] = raw
+    dataset = Dataset(desc.country, series)
+    for cache_path, raw in responses.items():
+        _store(cache_path, raw)
+    return dataset

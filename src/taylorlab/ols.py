@@ -10,7 +10,7 @@ import numpy as np
 from . import dist
 from .errors import CollinearityError, ConfigError, SampleError
 from .hac import HacConfig, coef_cov
-from .records import Frozen, Record
+from .records import Frozen, Record, is_integer
 from .series import Dataset, Quarter, Series, lag
 
 CONST = "const"
@@ -24,7 +24,7 @@ class Term(Record):
     _fields = ("name", "lag")
 
     def __init__(self, name: str, lag: int = 0):
-        if not isinstance(lag, (int, np.integer)) or lag < 0:
+        if not is_integer(lag) or lag < 0:
             raise ConfigError(f"lag of {name} must be a non-negative integer, got {lag!r}")
         if name == CONST and lag:
             raise ConfigError(f"the constant takes no lag: {name}(-{lag})")

@@ -9,6 +9,13 @@ per class at import.
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a ``bool`` is not one."""
+    return isinstance(value, (int, np.integer)) and value.__class__ is not bool
+
 
 class Frozen:
     """Immutable record compared by identity; ``repr`` lists its fields."""

@@ -12,7 +12,7 @@ import re
 import numpy as np
 
 from .errors import DomainError, SampleError
-from .records import Frozen, Record
+from .records import Frozen, Record, is_integer
 
 _QUARTER_RE = re.compile(r"^(\d{4})[-: ]?Q([1-4])$", re.IGNORECASE)
 
@@ -24,9 +24,9 @@ class Quarter(Record):
     _fields = ("year", "q")
 
     def __init__(self, year: int, q: int):
-        if not isinstance(year, (int, np.integer)):
+        if not is_integer(year):
             raise DomainError(f"year must be an integer, got {year!r}")
-        if not isinstance(q, (int, np.integer)) or q not in (1, 2, 3, 4):
+        if not is_integer(q) or q not in (1, 2, 3, 4):
             raise DomainError(f"quarter number must be 1..4, got {q!r}")
         self.__dict__.update(year=year, q=q)
 
@@ -138,8 +138,8 @@ def lag(s: Series, k: int) -> Series:
     The result at quarter t equals s at t-k; the first k observations of
     the original calendar have no lagged counterpart and are dropped.
     """
-    if k < 0:
-        raise DomainError(f"lag must be non-negative, got {k}")
+    if not is_integer(k) or k < 0:
+        raise DomainError(f"lag must be a non-negative integer, got {k!r}")
     if k == 0:
         return s
     if k >= len(s):

@@ -437,6 +437,12 @@ class TestBreuschGodfrey:
         with pytest.raises(ConfigError, match="lag order must be an integer"):
             breusch_godfrey_test(fit, lags=lags)
 
+    def test_boolean_lags_rejected(self):
+        # True ran as one lag, reported as "up to True lag(s)" with df [true, ...] in JSON
+        fit = _random_fit(np.random.default_rng(62))
+        with pytest.raises(ConfigError, match="lag order must be an integer, got True"):
+            breusch_godfrey_test(fit, lags=True)
+
     def test_sample_too_small_for_lags(self):
         rng = np.random.default_rng(63)
         fit = _random_fit(rng, T=10)

@@ -196,5 +196,9 @@ class TestHacConfig:
         with pytest.raises(ConfigError, match="bandwidth must be an integer"):
             HacConfig(bandwidth)
 
+    def test_boolean_bandwidth_rejected(self):
+        with pytest.raises(ConfigError, match="bandwidth must be an integer, got True"):
+            HacConfig(True)
+
     def test_numpy_integer_bandwidth_accepted(self):
         assert HacConfig(np.int64(5)) == HacConfig(5)

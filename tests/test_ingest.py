@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taylorlab import ingest
-from taylorlab.errors import ConfigError, FetchError, IngestError, TaylorLabError
+from taylorlab.errors import ConfigError, FetchError, IngestError, SampleError, TaylorLabError
 from taylorlab.ingest import (
     RemoteConfig,
     SourceDescriptor,
@@ -566,6 +566,52 @@ class TestCacheRewrite:
         assert {state[2] for state in before.values()} == {_payload()}
         fetch_series(desc, http_get=lambda url: bytearray(_payload()))
         assert _cache_state(desc) == before
+
+
+class TestStoreAfterDecoding:
+    # a fetch stores nothing until all four responses decode into a Dataset
+
+    def test_undecodable_cpi_leaves_every_file_and_the_old_vintage(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        before = _cache_state(desc)
+        payloads = {role: _payload(base=500.0) for role in CORE_SERIES}
+        payloads["cpi"] = json.dumps({"error_code": 429, "error_message": "Too Many"}).encode()
+        with pytest.raises(IngestError, match="series 'cpi': cannot decode"):
+            fetch_series(desc, http_get=_get_by_role(desc, payloads))
+        assert _cache_state(desc) == before
+
+        def failing_get(url):
+            raise urllib.error.URLError("offline")
+
+        d = fetch_series(desc, http_get=failing_get)
+        assert {role: d[role].values[0] for role in CORE_SERIES} == dict.fromkeys(CORE_SERIES, 100.0)
+        assert _cache_state(desc) == before  # a copy read back is not written again
+
+    def test_third_response_not_bytes_leaves_the_first_two_files(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        payloads = {role: _payload(base=500.0) for role in CORE_SERIES}
+        payloads[CORE_SERIES[2]] = payloads[CORE_SERIES[2]].decode()
+        sid = desc.series_ids[CORE_SERIES[2]]
+        with pytest.raises(FetchError, match=f"fetch of {sid!r} returned str, not bytes"):
+            fetch_series(desc, http_get=_get_by_role(desc, payloads))
+        assert list((tmp_path / "cache").iterdir()) == []
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        before = _cache_state(desc)
+        with pytest.raises(FetchError, match=f"fetch of {sid!r} returned str"):
+            fetch_series(desc, http_get=_get_by_role(desc, payloads))
+        assert _cache_state(desc) == before
+
+    def test_series_sharing_no_quarter_leave_a_cold_cache_empty(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        payloads = {role: _payload(start=Quarter(1990, 1)) for role in CORE_SERIES}
+        payloads["stock_index"] = _payload(start=Quarter(2000, 1))
+        with pytest.raises(SampleError, match="share no common quarter"):
+            fetch_series(desc, http_get=_get_by_role(desc, payloads))
+        assert list((tmp_path / "cache").iterdir()) == []
 
 
 # The row-by-row decoder that the bulk one replaced, kept as the oracle of the

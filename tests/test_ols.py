@@ -47,6 +47,11 @@ class TestTermParsing:
     def test_numpy_integer_lag(self):
         assert Term("x", np.int64(2)) == Term("x", 2)
 
+    def test_boolean_lag_rejected(self):
+        # True labelled a fitted column output_gap(-True)
+        with pytest.raises(ConfigError, match="lag of output_gap must be a non-negative integer, got True"):
+            Term("output_gap", True)
+
     def test_duplicate_terms_rejected(self):
         with pytest.raises(ConfigError):
             RegressionSpec("y", ("x", "x"))

@@ -8,6 +8,7 @@ from taylorlab.errors import ConfigError
 from taylorlab.gmm import GmmSpec
 from taylorlab.hac import HacConfig
 from taylorlab.ols import RegressionSpec, Term, fit_ols
+from taylorlab.records import is_integer
 from taylorlab.report import GoldenCell, load_golden
 from taylorlab.series import Quarter
 
@@ -89,3 +90,12 @@ def test_golden_table_compares_by_identity():
     table = load_golden(1)
     assert table == table and table != load_golden(1)
     assert load_golden(1).cells == table.cells
+
+
+@pytest.mark.parametrize(
+    "value,expected",
+    [(3, True), (-1, True), (np.int64(3), True), (np.uint8(3), True),
+     (True, False), (False, False), (np.True_, False), (3.0, False), ("3", False), (None, False)],
+)
+def test_is_integer_excludes_bool(value, expected):
+    assert is_integer(value) is expected

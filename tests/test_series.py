@@ -43,6 +43,15 @@ class TestQuarter:
         with pytest.raises(DomainError, match="quarter number must be 1..4"):
             Quarter(1991, q)
 
+    def test_boolean_year_rejected(self):
+        with pytest.raises(DomainError, match="year must be an integer, got True"):
+            Quarter(True, 1)
+
+    def test_boolean_quarter_number_rejected(self):
+        # True == 1, so it passed the 1..4 check and printed as 1991QTrue
+        with pytest.raises(DomainError, match="quarter number must be 1..4, got True"):
+            Quarter(1991, True)
+
     def test_numpy_integer_year(self):
         q = Quarter(np.int64(1991), 1)
         assert q == Quarter(1991, 1) and q.index == Quarter(1991, 1).index
@@ -127,6 +136,14 @@ class TestLag:
         s = Series("x", Quarter(1990, 1), (1.0, 2.0))
         with pytest.raises(SampleError):
             lag(s, 2)
+
+    def test_shift_must_be_an_integer(self):
+        s = Series("x", Quarter(1990, 1), (1.0, 2.0, 3.0))
+        assert lag(s, np.int64(1)).values.tolist() == [1.0, 2.0]
+        # 1.5 failed in Quarter with "year must be an integer, got 1990.0"
+        for k in (1.5, True):
+            with pytest.raises(DomainError, match=f"lag must be a non-negative integer, got {k!r}"):
+                lag(s, k)
 
     def test_us_cpi_lag4_at_1991q1(self, us_data):
         # the four-quarter lag at 1991Q1 is the raw 1990Q1 CPI print
