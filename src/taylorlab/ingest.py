@@ -14,7 +14,7 @@ import io
 import json
 import os
 import re
-from itertools import chain
+from itertools import accumulate, chain, pairwise
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FetchError, IngestError
@@ -33,6 +33,9 @@ _DATE_RE = re.compile(
 # the quarter within its year (0-3) of a month group or a quarter group
 _QUARTER_OF = {f"{m:02d}": (m - 1) // 3 for m in range(1, 13)}
 _QUARTER_OF.update({str(q): q - 1 for q in range(1, 5)})
+# A FRED cache file's first line: the byte lengths of the responses after it,
+# one per core series in CORE_SERIES order, each short enough for int()
+_HEAD_RE = re.compile(rb" ".join([rb"(\d{1,20})"] * len(CORE_SERIES)) + rb"\n")
 
 
 def _is_number(cell) -> bool:
@@ -183,10 +186,20 @@ def _default_http_get(url: str) -> bytes:
         return resp.read()
 
 
-def _cache_key(base_url: str, series_id: str) -> str:
+def _cache_key(base_url: str, series_ids: list[str]) -> str:
     import hashlib  # imported here: only a remote fetch needs it
 
-    return hashlib.sha256(f"{base_url}|{series_id}".encode()).hexdigest()[:24]
+    # a JSON list keeps the parts apart: no two sources share a key
+    return hashlib.sha256(json.dumps([base_url, *series_ids]).encode()).hexdigest()[:24]
+
+
+def _unpack(path: Path, data: bytes) -> list[bytes]:
+    """The four responses in cache file ``path``, whose bytes are ``data``."""
+    head = _HEAD_RE.match(data)
+    ends = list(accumulate(map(int, head.groups()), initial=head.end())) if head else []
+    if not ends or ends[-1] != len(data):
+        raise FetchError(f"malformed cache file {path}: not four byte lengths and their responses")
+    return [data[a:b] for a, b in pairwise(ends)]
 
 
 def _store(path: Path, data: bytes) -> None:
@@ -232,17 +245,18 @@ def _decode_observations(name: str, raw: bytes) -> Series:
 
 
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
-    """Fetch the four core series of a FRED source.
+    """Fetch the four core series of a FRED source, all of one vintage.
 
-    Each series id is requested once from ``base_url``; a request that fails
-    with an ``OSError`` (``URLError`` included) reads the cached copy
-    instead. All four responses are type-checked (``FetchError`` naming the
-    series id unless ``bytes`` or ``bytearray``) and decoded, and the
-    ``Dataset`` built, before any is stored, so a fetch that raises there
-    leaves the cache as it was. Then only a cached copy that differs from
-    its response is replaced; a write that fails part-way leaves earlier
-    files replaced. A cache that cannot be created, written or read
-    raises ``FetchError`` naming the path. ``http_get`` may be injected.
+    Each series id is requested from ``base_url`` in ``CORE_SERIES`` order,
+    and each response type-checked (``FetchError`` naming the series id
+    unless ``bytes`` or ``bytearray``) and decoded. The first request that
+    fails with an ``OSError`` (``URLError`` included) ends the requests, and
+    all four series are decoded from the source's one cache file instead.
+    Once the ``Dataset`` is built, that file is made to hold the four
+    responses, after a line of their byte lengths: one atomic replace, or
+    no write if it holds them already. A cache that cannot be created,
+    written or read, or a malformed cache file, raises ``FetchError``
+    naming the path. ``http_get`` may be injected.
     """
     import urllib.parse
     from pathlib import Path
@@ -256,29 +270,32 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise FetchError(f"cannot create cache directory {cache_dir}: {exc}") from exc
-    series, responses = {}, {}
-    for role in CORE_SERIES:
-        sid = desc.series_ids[role]
+    ids = [desc.series_ids[role] for role in CORE_SERIES]
+    cache_path = cache_dir / _cache_key(desc.remote.base_url, ids)
+    series, responses = {}, []
+    for role, sid in zip(CORE_SERIES, ids):
         query = urllib.parse.urlencode({
             "series_id": sid, "api_key": api_key, "file_type": "json",
             # quarterly averages, whatever the native frequency of the series
             "frequency": "q", "aggregation_method": "avg",
         })
-        cache_path = cache_dir / f"{_cache_key(desc.remote.base_url, sid)}.json"
         try:
             raw = http_get(f"{desc.remote.base_url}?{query}")
         except OSError as exc:  # URLError and ConnectionError included
             try:
-                raw = cache_path.read_bytes()
+                data = cache_path.read_bytes()
             except FileNotFoundError:
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
             except OSError as err:
                 raise FetchError(f"cannot read cached copy {cache_path}: {err}") from err
+            responses = _unpack(cache_path, data)
+            series = dict(zip(CORE_SERIES, map(_decode_observations, CORE_SERIES, responses)))
+            break
         if not isinstance(raw, (bytes, bytearray)):
             raise FetchError(f"fetch of {sid!r} returned {type(raw).__name__}, not bytes")
         series[role] = _decode_observations(role, raw)
-        responses[cache_path] = raw
+        responses.append(raw)
     dataset = Dataset(desc.country, series)
-    for cache_path, raw in responses.items():
-        _store(cache_path, raw)
+    data = b" ".join(b"%d" % len(raw) for raw in responses) + b"\n" + b"".join(responses)
+    _store(cache_path, data)
     return dataset

@@ -55,10 +55,6 @@ def baseline_spec(country: str) -> RegressionSpec:
     return _BASELINE[country]
 
 
-def hac_spec() -> RegressionSpec:
-    return _HAC
-
-
 def _wald_equal_weights(fit):
     # EViews-style restriction on the first two coefficients of the
     # printed ordering: C(1)=0.5, C(2)=0.5.

@@ -18,7 +18,7 @@ from taylorlab.gmm import GmmSpec, fit_linear_gmm
 from taylorlab.hac import newey_west_cov, default_bandwidth
 from taylorlab.ols import RegressionSpec, build_design, fit_ols
 from taylorlab.report import compare_golden, load_golden
-from taylorlab.tables import hac_spec, run_table
+from taylorlab.tables import run_table
 from taylorlab.transform import hp_filter_gap
 from taylorlab.series import Quarter, Series
 
@@ -193,7 +193,7 @@ def test_us_jarque_bera_rejects_normality(us_data, check):
     fit = run_table(8, us_data)
     golden = load_golden(8)
     b_printed = np.array([golden.cells[f"coef:{lab}"].expected for lab in fit.labels])
-    y, X, _ = build_design(us_data, hac_spec())
+    y, X, _ = build_design(us_data, fit.spec)
     oracle = scipy.stats.jarque_bera(y - X @ b_printed)
     rep = jarque_bera_test(fit.residuals)
     check("jb_stat", _stat(rep.stat("jb").value, oracle.statistic))

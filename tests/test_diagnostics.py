@@ -17,7 +17,7 @@ from taylorlab.errors import CollinearityError, ConfigError, DomainError, Sample
 from taylorlab.hac import HacConfig
 from taylorlab.ols import RegressionSpec, fit_ols
 from taylorlab.series import Dataset, Quarter, Series
-from taylorlab.tables import baseline_spec, hac_spec
+from taylorlab.tables import baseline_spec, run_table
 
 
 def _toy_dataset(columns: dict, start=Quarter(2000, 1)) -> Dataset:
@@ -177,6 +177,7 @@ class TestChow:
             assert chow_breakpoint_test(us_data, hac, q) == chow_breakpoint_test(us_data, spec, q)
 
     def test_pooled_model_is_solved_not_fitted(self, us_data, monkeypatch):
+        hac = run_table(8, us_data).spec
         calls = []
 
         def counting_fit_ols(*args):
@@ -185,7 +186,7 @@ class TestChow:
 
         monkeypatch.setattr(ols, "fit_ols", counting_fit_ols)
         monkeypatch.setattr(diagnostics, "fit_ols", counting_fit_ols, raising=False)
-        chow_breakpoint_test(us_data, hac_spec(), Quarter(2003, 1))
+        chow_breakpoint_test(us_data, hac, Quarter(2003, 1))
         assert calls == []
 
     def test_negative_lr_takes_the_tail_at_zero(self):
@@ -344,14 +345,14 @@ class TestWhite:
         assert dropped > 100
 
     def test_us_published_values(self, us_data):
-        rep = white_test(fit_ols(us_data, hac_spec()))
+        rep = white_test(run_table(8, us_data))
         assert rep.stat("F").value == pytest.approx(4.178675, rel=0.015)
         assert rep.stat("obs_r2").value == pytest.approx(30.42807, rel=0.015)
         assert rep.stat("F").df == (9, 107)
         assert rep.stat("obs_r2").p == pytest.approx(0.0004, abs=5e-3)
 
     def test_uk_published_values(self, uk_data):
-        rep = white_test(fit_ols(uk_data, hac_spec()))
+        rep = white_test(run_table(16, uk_data))
         assert rep.stat("F").value == pytest.approx(4.223505, rel=0.015)
         assert rep.stat("obs_r2").value == pytest.approx(30.66894, rel=0.015)
 
@@ -410,13 +411,13 @@ class TestBreuschGodfrey:
             assert rep.stat("obs_r2").df == (lags,)
 
     def test_us_published_values(self, us_data):
-        rep = breusch_godfrey_test(fit_ols(us_data, hac_spec()), lags=1)
+        rep = breusch_godfrey_test(run_table(8, us_data), lags=1)
         assert rep.stat("F").value == pytest.approx(650.9373, rel=0.015)
         assert rep.stat("obs_r2").value == pytest.approx(99.82428, rel=0.015)
         assert rep.stat("F").df == (1, 112)
 
     def test_uk_published_values(self, uk_data):
-        rep = breusch_godfrey_test(fit_ols(uk_data, hac_spec()), lags=1)
+        rep = breusch_godfrey_test(run_table(16, uk_data), lags=1)
         assert rep.stat("F").value == pytest.approx(1702.731, rel=0.015)
         assert rep.stat("obs_r2").value == pytest.approx(109.7791, rel=0.015)
 
@@ -477,7 +478,7 @@ class TestJarqueBera:
             assert rep.stat("jb").p == pytest.approx(p, abs=1e-10)
 
     def test_uk_residuals_reject_normality(self, uk_data):
-        fit = fit_ols(uk_data, hac_spec())
+        fit = run_table(16, uk_data)
         rep = jarque_bera_test(fit.residuals)
         assert rep.stat("jb").p == pytest.approx(0.016, abs=3e-3)
 

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
 import re
+import stat
 import threading
 import urllib.error
 import urllib.parse
@@ -211,8 +214,8 @@ class TestFetchSeries:
         assert all("api_key=k123" in u for u in seen)
         assert d["cpi"].start == Quarter(1990, 1)
         assert d["cpi"].values[0] == 100.0
-        cached = list((tmp_path / "cache").glob("*.json"))
-        assert len(cached) == 4
+        assert list((tmp_path / "cache").iterdir()) == [_cache_path(desc)]
+        assert _cache_path(desc).read_bytes() == _packed([_payload()] * 4)
 
     def test_query_asks_for_quarterly_averages(self, tmp_path, monkeypatch):
         # a monthly series such as CPIAUCSL must come back as quarterly means
@@ -379,9 +382,19 @@ class TestFredDecoding:
                 assert d[role].values.tobytes() == expected
 
 
-def _cache_path(desc, role):
-    sid = desc.series_ids[role]
-    return Path(desc.cache_dir) / f"{ingest._cache_key(desc.remote.base_url, sid)}.json"
+def _cache_path(desc):
+    """The source's one cache file."""
+    ids = [desc.series_ids[role] for role in CORE_SERIES]
+    return Path(desc.cache_dir) / ingest._cache_key(desc.remote.base_url, ids)
+
+
+def _packed(responses):
+    """A cache file's bytes: the responses' byte lengths on one line, then the responses."""
+    return " ".join(str(len(r)) for r in responses).encode() + b"\n" + b"".join(responses)
+
+
+def _offline(url):
+    raise urllib.error.URLError("offline")
 
 
 def _no_space(src, dst):
@@ -396,7 +409,7 @@ class TestCacheFailures:
         monkeypatch.setattr(ingest.os, "replace", _no_space)
         with pytest.raises(FetchError, match="cannot write cache file .*No space"):
             fetch_series(desc, http_get=lambda url: _payload(base=500.0))
-        assert len(list((tmp_path / "cache").iterdir())) == 4
+        assert list((tmp_path / "cache").iterdir()) == [_cache_path(desc)]
 
     def test_failed_write_with_cold_cache_is_not_a_fetch_failure(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
@@ -409,7 +422,7 @@ class TestCacheFailures:
     def test_cache_path_is_a_directory(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
         desc = _remote_descriptor(tmp_path)
-        blocked = _cache_path(desc, "real_gdp")
+        blocked = _cache_path(desc)
         blocked.mkdir(parents=True)
         with pytest.raises(FetchError, match=f"cannot write cache file {blocked}"):
             fetch_series(desc, http_get=lambda url: _payload())
@@ -418,7 +431,7 @@ class TestCacheFailures:
     def test_unreadable_cached_copy(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
         desc = _remote_descriptor(tmp_path)
-        blocked = _cache_path(desc, "real_gdp")
+        blocked = _cache_path(desc)
         blocked.mkdir(parents=True)
 
         def failing_get(url):
@@ -432,11 +445,11 @@ class TestCacheFailures:
         monkeypatch.setenv("FRED_API_KEY", "k123")
         desc = _remote_descriptor(tmp_path)
         fetch_series(desc, http_get=lambda url: _payload(base=100.0))
-        cached = {role: _cache_path(desc, role).read_bytes() for role in CORE_SERIES}
+        cached = _cache_path(desc).read_bytes()
         refused = json.dumps({"error_code": 429, "error_message": "Too Many Requests"}).encode()
         with pytest.raises(IngestError, match="cannot decode observations payload"):
             fetch_series(desc, http_get=lambda url: refused)
-        assert {role: _cache_path(desc, role).read_bytes() for role in CORE_SERIES} == cached
+        assert _cache_path(desc).read_bytes() == cached
 
         def failing_get(url):
             raise urllib.error.URLError("offline")
@@ -452,13 +465,11 @@ class TestCacheFailures:
 
 
 def _cache_state(desc):
-    """Each role's cache file as (inode, mtime in ns, bytes)."""
-    state = {}
-    for role in CORE_SERIES:
-        path = _cache_path(desc, role)
-        st = path.stat()
-        state[role] = (st.st_ino, st.st_mtime_ns, path.read_bytes())
-    return state
+    """Each file in the cache directory by name, as (inode, mtime in ns, bytes)."""
+    return {
+        p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+        for p in Path(desc.cache_dir).iterdir()
+    }
 
 
 def _get_by_role(desc, payloads):
@@ -493,10 +504,11 @@ class TestCacheRewrite:
         payloads["cpi"] = _payload(base=500.0)  # the same length, other bytes
         assert len(payloads["cpi"]) == len(payloads["real_gdp"])
         d = fetch_series(desc, http_get=_get_by_role(desc, payloads))
-        after = _cache_state(desc)
-        assert [role for role in CORE_SERIES if after[role] != before[role]] == ["cpi"]
-        assert after["cpi"][0] != before["cpi"][0]  # replaced, not written in place
-        assert after["cpi"][2] == payloads["cpi"]
+        (old,) = before.values()
+        (new,) = _cache_state(desc).values()
+        assert old[2] == _packed([_payload(base=100.0)] * 4)
+        assert new[0] != old[0]  # replaced, not written in place
+        assert new[2] == _packed([payloads[role] for role in CORE_SERIES])  # only cpi's part differs
         assert d["cpi"].values[0] == 500.0
 
     def test_identical_refetch_needs_no_write(self, tmp_path, monkeypatch):
@@ -516,18 +528,17 @@ class TestCacheRewrite:
         monkeypatch.setenv("FRED_API_KEY", "k123")
         desc = _remote_descriptor(tmp_path)
         raw = _payload()
-        for role in CORE_SERIES:
-            path = _cache_path(desc, role)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(stale(raw))
+        path = _cache_path(desc)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(stale(_packed([raw] * 4)))
         fetch_series(desc, http_get=lambda url: raw)
-        assert {_cache_path(desc, role).read_bytes() for role in CORE_SERIES} == {raw}
+        assert path.read_bytes() == _packed([raw] * 4)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_at_the_cache_path_is_replaced_without_waiting(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FRED_API_KEY", "k123")
         desc = _remote_descriptor(tmp_path)
-        fifo = _cache_path(desc, "cpi")
+        fifo = _cache_path(desc)
         fifo.parent.mkdir(parents=True)
         os.mkfifo(fifo)
         done = []
@@ -538,7 +549,8 @@ class TestCacheRewrite:
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive() and len(done) == 1
-        assert fifo.read_bytes() == _payload()
+        assert not stat.S_ISFIFO(fifo.stat().st_mode)  # else reading would block
+        assert fifo.read_bytes() == _packed([_payload()] * 4)
 
     @pytest.mark.parametrize(
         "convert", [bytes.decode, lambda raw: None, memoryview, list],
@@ -563,7 +575,7 @@ class TestCacheRewrite:
         d = fetch_series(desc, http_get=lambda url: bytearray(_payload()))
         assert d["stock_index"].values[-1] == 107.0
         before = _cache_state(desc)
-        assert {state[2] for state in before.values()} == {_payload()}
+        assert _cache_path(desc).read_bytes() == _packed([_payload()] * 4)
         fetch_series(desc, http_get=lambda url: bytearray(_payload()))
         assert _cache_state(desc) == before
 
@@ -612,6 +624,102 @@ class TestStoreAfterDecoding:
         with pytest.raises(SampleError, match="share no common quarter"):
             fetch_series(desc, http_get=_get_by_role(desc, payloads))
         assert list((tmp_path / "cache").iterdir()) == []
+
+
+def _first_values(d):
+    return {role: d[role].values[0] for role in CORE_SERIES}
+
+
+class TestOneVintage:
+    # a source's four responses live in one file, so a fetch returns and
+    # leaves one data vintage whatever fails
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_replace_failing_on_its_kth_call_leaves_one_vintage(self, tmp_path, monkeypatch, k):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        calls, replace = [], os.replace
+
+        def replace_failing_on_call_k(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                _no_space(src, dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(ingest.os, "replace", replace_failing_on_call_k)
+        with contextlib.suppress(FetchError):
+            fetch_series(desc, http_get=lambda url: _payload(base=500.0))
+        vintages = set(_first_values(fetch_series(desc, http_get=_offline)).values())
+        assert vintages == {100.0 if k == 1 else 500.0}  # the one replace fails or not
+        assert list((tmp_path / "cache").iterdir()) == [_cache_path(desc)]
+
+    def test_failed_cpi_request_returns_and_keeps_the_old_vintage(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fetch_series(desc, http_get=lambda url: _payload(base=100.0))
+        before = _cache_state(desc)
+        serve = _get_by_role(desc, {role: _payload(base=500.0) for role in CORE_SERIES})
+        asked = []
+
+        def get(url):
+            asked.append(urllib.parse.parse_qs(urllib.parse.urlsplit(url).query)["series_id"][0])
+            if asked[-1] == desc.series_ids["cpi"]:
+                raise ConnectionResetError("reset by peer")
+            return serve(url)
+
+        d = fetch_series(desc, http_get=get)
+        assert _first_values(d) == dict.fromkeys(CORE_SERIES, 100.0)
+        assert asked == [desc.series_ids["real_gdp"], desc.series_ids["cpi"]]
+        assert _cache_state(desc) == before
+        assert list(before) == [_cache_path(desc).name]
+
+    def test_sources_differing_only_where_a_bar_falls_keep_apart(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        ids = {"real_gdp": "B", "cpi": "CPI", "interest_rate": "RATE", "stock_index": "SPX"}
+        cache = tmp_path / "cache"
+        one = SourceDescriptor("remote", "us", ids, cache, RemoteConfig("https://e.test/obs|A"))
+        two = SourceDescriptor(
+            "remote", "us", dict(ids, real_gdp="A|B"), cache, RemoteConfig("https://e.test/obs")
+        )
+        fetch_series(one, http_get=lambda url: _payload(base=100.0))
+        fetch_series(two, http_get=lambda url: _payload(base=500.0))
+        assert set(_first_values(fetch_series(one, http_get=_offline)).values()) == {100.0}
+        assert set(_first_values(fetch_series(two, http_get=_offline)).values()) == {500.0}
+        assert sorted(cache.iterdir()) == sorted([_cache_path(one), _cache_path(two)])
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            lambda good: b"",
+            lambda good: good[:-1],
+            lambda good: good + b"\n",
+            lambda good: good.replace(b"\n", b" ", 1),
+            lambda good: _packed([_payload()] * 3),
+            lambda good: b"-1 1 1 1\nxx",
+            lambda good: b"0" * 21 + b" 0 0 0\n",
+        ],
+        ids=["empty", "short", "long", "no-newline", "three-lengths", "negative", "21-digits"],
+    )
+    def test_malformed_cache_file_raises_naming_the_path(self, tmp_path, monkeypatch, stale):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        path = _cache_path(desc)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(stale(_packed([_payload()] * 4)))
+        with pytest.raises(FetchError, match=f"malformed cache file {re.escape(str(path))}"):
+            fetch_series(desc, http_get=_offline)
+
+    def test_cache_of_one_file_per_series_is_not_read(self, tmp_path, monkeypatch):
+        # the layout of older versions: <sha256 of "base_url|series_id">[:24].json
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        (tmp_path / "cache").mkdir()
+        for sid in desc.series_ids.values():
+            key = hashlib.sha256(f"{desc.remote.base_url}|{sid}".encode()).hexdigest()[:24]
+            (tmp_path / "cache" / f"{key}.json").write_bytes(_payload())
+        with pytest.raises(FetchError, match="'GDPC1' failed with no cached copy"):
+            fetch_series(desc, http_get=_offline)
 
 
 # The row-by-row decoder that the bulk one replaced, kept as the oracle of the
