@@ -7,7 +7,9 @@ or golden mismatch, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import sys
 
 import numpy as np
@@ -201,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit status. The in-process API: it
+    touches no file descriptor and leaves the collector as it found it."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -219,5 +223,26 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of the ``taylorlab`` script and of
+    ``python -m taylorlab.cli``: run ``main()``, flush stdout and exit with
+    its status, or with 1 if the reader of stdout has gone.
+
+    The heap is frozen before exit, so interpreter teardown still runs
+    atexit handlers, closes files and frees modules, but its collections
+    skip the objects numpy and the package leave alive.
+    """
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; on /dev/null that
+        # flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

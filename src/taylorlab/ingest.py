@@ -202,15 +202,21 @@ def _unpack(path: Path, data: bytes) -> list[bytes]:
     return [data[a:b] for a, b in pairwise(ends)]
 
 
+def _read(path: Path, size: int = -1) -> bytes:
+    """At most ``size`` bytes of ``path`` (all of it by default), opened
+    non-blocking: a FIFO at the path reads as empty instead of waiting for a
+    writer."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    with open(fd, "rb") as fh:
+        return fh.read(size) or b""  # None: a FIFO whose writer has written nothing yet
+
+
 def _store(path: Path, data: bytes) -> None:
     """Make ``path`` hold ``data``: an identical file is left alone, any other
     replaced atomically; a failed write leaves no temporary file."""
     try:
-        # non-blocking: a FIFO at the path reads as empty instead of waiting for a writer
-        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-        with open(fd, "rb") as fh:
-            if fh.read(len(data) + 1) == data:
-                return
+        if _read(path, len(data) + 1) == data:
+            return
     except OSError:
         pass  # a file that cannot be read is replaced
     import tempfile  # imported here, as are pathlib and urllib.parse: only a fetch needs them
@@ -283,7 +289,7 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
             raw = http_get(f"{desc.remote.base_url}?{query}")
         except OSError as exc:  # URLError and ConnectionError included
             try:
-                data = cache_path.read_bytes()
+                data = _read(cache_path)
             except FileNotFoundError:
                 raise FetchError(f"fetch of {sid!r} failed with no cached copy: {exc}") from exc
             except OSError as err:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -500,6 +501,14 @@ class TestDeterminism:
         assert a == b
 
 
+def _child_env(path=None):
+    """The environment of a child interpreter that imports this taylorlab: its
+    source directory, then ``path`` (by default the inherited PYTHONPATH)."""
+    src = str(Path(taylorlab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH", "") if path is None else path
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, path])}
+
+
 class TestStartup:
     def test_cli_import_skips_scipy_and_urllib_request(self):
         # scipy is a test-only dependency and urllib.request, urllib.error and
@@ -510,10 +519,9 @@ class TestStartup:
             "import sys, taylorlab.cli; "
             f"print(sorted(m for m in {modules!r} if m in sys.modules))"
         )
-        src = str(Path(taylorlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env,
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=_child_env(),
         ).stdout
         assert out.strip() == "[]"
 
@@ -527,10 +535,9 @@ class TestStartup:
             "for n, v in vars(mod).items() if isinstance(v, type) "
             "and hasattr(v, '__dataclass_fields__')))"
         )
-        src = str(Path(taylorlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env,
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=_child_env(),
         ).stdout
         assert out.strip() == "False []"
 
@@ -543,11 +550,47 @@ class TestStartup:
             "import sys, taylorlab.cli; "
             f"print(sorted(m for m in {modules!r} if m in sys.modules))"
         )
-        src = str(Path(taylorlab.__file__).resolve().parents[1])
         site_packages = str(Path(np.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, site_packages])}
         out = subprocess.run(
             [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
-            env=env,
+            env=_child_env(site_packages),
         ).stdout
         assert out.strip() == "[]"
+
+    def test_process_entry_freezes_the_heap_before_exit(self, capsys):
+        # teardown's collections then skip what numpy and the package leave
+        # alive; run_module as -m runs it, with an atexit probe on stderr
+        probe = (
+            "import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr)); "
+            "sys.argv[1:] = ['reproduce', '--country', 'us']; "
+            "runpy.run_module('taylorlab.cli', run_name='__main__', alter_sys=True)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 0, proc.stderr
+        code, out, _ = run_cli(capsys, "reproduce", "--country", "us")
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["at-the-entry-flush", "inside-main"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, unbuffered):
+        # buffered, the pipe breaks when the entry flushes stdout; unbuffered,
+        # at main()'s first write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "taylorlab.cli", "reproduce", "--country", "us"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**_child_env(), "PYTHONUNBUFFERED": unbuffered},
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+
+    def test_main_leaves_the_collector_unfrozen(self, capsys):
+        # main() is the in-process API: freezing would pin its caller's heap
+        before = gc.get_freeze_count()
+        assert run_cli(capsys, "reproduce", "--country", "us")[0] == 0
+        assert gc.get_freeze_count() == before

@@ -552,6 +552,43 @@ class TestCacheRewrite:
         assert not stat.S_ISFIFO(fifo.stat().st_mode)  # else reading would block
         assert fifo.read_bytes() == _packed([_payload()] * 4)
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("writer", [False, True], ids=["no-writer", "silent-writer"])
+    def test_offline_fetch_reads_a_fifo_at_the_cache_path_as_malformed(
+        self, tmp_path, monkeypatch, writer
+    ):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        fifo = _cache_path(desc)
+        fifo.parent.mkdir(parents=True)
+        os.mkfifo(fifo)
+        held = os.open(fifo, os.O_RDWR) if writer else None  # RDWR opens a FIFO without waiting
+        raised = []
+
+        def fetch():
+            try:
+                fetch_series(desc, http_get=_offline)
+            except Exception as exc:
+                raised.append(exc)
+
+        # daemon: a fetch stuck on the pipe must not keep the session alive
+        worker = threading.Thread(target=fetch, daemon=True)
+        worker.start()
+        try:
+            worker.join(timeout=5)
+            assert not worker.is_alive(), "the offline fetch is blocked on the FIFO"
+        finally:
+            # release a reader left blocked, by closing the held writer or opening one
+            if held is not None:
+                os.close(held)
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError as exc:
+                if exc.errno != errno.ENXIO:  # ENXIO: no reader is left
+                    raise
+        assert len(raised) == 1 and isinstance(raised[0], FetchError), raised
+        assert str(raised[0]).startswith(f"malformed cache file {fifo}:")
+
     @pytest.mark.parametrize(
         "convert", [bytes.decode, lambda raw: None, memoryview, list],
         ids=["str", "None", "memoryview", "list"],
