@@ -10,6 +10,7 @@ import argparse
 import gc
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -111,20 +112,26 @@ def cmd_fit(args) -> int:
     return 0
 
 
+# "b1=0.5,b2=0.5": bK (or BK) restricts the K-th coefficient (1-based)
+_RESTRICTION_RE = re.compile(r"\s*[bB]([0-9]+)\s*=([^=]*)")
+
+
 def _parse_restrictions(text, n_params):
-    # "b1=0.5,b2=0.5": bK restricts the K-th coefficient (1-based)
     idxs, rhs = [], []
     for piece in text.split(","):
+        m = _RESTRICTION_RE.fullmatch(piece)
         try:
-            lhs, value = piece.split("=")
-            idx = int(lhs.strip().lstrip("bB")) - 1
-            value = float(value)
+            if m is None:
+                raise ValueError
+            idx, value = int(m.group(1)) - 1, float(m.group(2))
         except ValueError:
             raise UsageError(f"malformed restriction {piece!r}; expected bK=value")
         if not math.isfinite(value):
             raise UsageError(f"restriction value must be finite, got {piece!r}")
         if not 0 <= idx < n_params:
             raise UsageError(f"restriction index b{idx + 1} out of range")
+        if idx in idxs:
+            raise UsageError(f"restriction index b{idx + 1} given twice")
         idxs.append(idx)
         rhs.append(value)
     return np.eye(n_params)[idxs], np.array(rhs)

@@ -11,8 +11,8 @@ import numpy as np
 from . import dist
 from .errors import ConfigError, DomainError, SampleError
 from .ols import (
-    CONST, FitResult, RegressionSpec, build_design, reject_exact_fit, reject_unidentified,
-    solve_ols,
+    CONST, FitResult, RegressionSpec, build_design, nested_f, reject_exact_fit,
+    reject_unidentified, solve_ols,
 )
 from .records import Record, is_integer
 from .series import Dataset, Quarter, Series
@@ -97,8 +97,8 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     one stack for their SSRs alone. The pooled model's errors come first; a
     regime too small to identify the model, or that is an exact fit,
     raises naming its quarters. The statistics are built from SSRs, so
-    ``spec.covariance`` plays no part. Reports F, the likelihood ratio,
-    and the Wald form k*F.
+    ``spec.covariance`` plays no part. Reports F (``nested_f`` of the pooled
+    SSR against ssr1 + ssr2), the likelihood ratio, and the Wald form k*F.
     """
     y, X, (start, end) = build_design(d, spec)
     T, k = X.shape
@@ -122,7 +122,7 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
         ssrs.append(float(e @ e))
         reject_exact_fit(ssrs[-1], X[rows], beta, where)
     ssr, ssr1, ssr2 = ssrs
-    F = max(((ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
+    F = nested_f(ssr, ssr1 + ssr2, k, T - 2 * k)
     # 2 (ll1 + ll2 - ll) with the constants cancelled: ratios of variances,
     # which do not depend on the units of y
     s2 = ssr / T
@@ -143,17 +143,17 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
 
 def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, q: int) -> TestReport:
     """LM test from the auxiliary regression of u on Xa, whose last q columns
-    are under test: F on (q, T - p) for p auxiliary columns, and T*R^2 on q."""
+    are under test: F on (q, T - p) for p auxiliary columns, and T*R^2 on q,
+    both from ``nested_f`` of the centred TSS of u against the SSR."""
     T, p = Xa.shape
     beta = solve_ols(Xa, u)
     resid = u - Xa @ beta
     ssr = float(resid @ resid)
     reject_exact_fit(ssr, Xa, beta, " in the auxiliary regression")
-    tss = float(np.sum((u - u.mean()) ** 2))
-    # F from SSR / TSS, not 1 - r2, which rounds to 0 below eps/2
-    unexplained = ssr / tss if tss > 0 else 1.0
-    r2 = 1.0 - unexplained
-    F = (r2 / q) / (unexplained / (T - p))
+    F = nested_f(float(np.sum((u - u.mean()) ** 2)), ssr, q, T - p)
+    # R^2 = (TSS - SSR) / TSS with the difference clamped as in F, where
+    # 1 - SSR / TSS can round below zero
+    r2 = q * F / (q * F + T - p)
     return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
 
 

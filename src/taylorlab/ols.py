@@ -299,6 +299,15 @@ def inference(beta: np.ndarray, V: np.ndarray, df: int) -> dict:
     }
 
 
+def nested_f(ssr_r: float, ssr_u: float, q: int, df: int) -> float:
+    """F of a least-squares fit against its restriction by q linear
+    constraints: (SSR_r - SSR_u)/q over SSR_u/df, for df residual degrees of
+    freedom of the unrestricted fit. The difference is clamped at zero,
+    which it can round below when the restriction costs nothing; SSR_u is
+    positive for any fit that ``reject_exact_fit`` lets through."""
+    return max(ssr_r - ssr_u, 0.0) / q / (ssr_u / df)
+
+
 def log_likelihood(ssr: float, T: int) -> float:
     """Gaussian log likelihood of a least-squares fit."""
     return -T / 2.0 * (1.0 + math.log(2.0 * math.pi) + math.log(ssr / T))
@@ -313,9 +322,9 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
     e = y - X @ beta
     stats = summarize(y, e, X, beta, spec.has_constant)
 
-    r2 = stats["r2"]
-    if spec.has_constant and k > 1 and r2 < 1.0:
-        f_stat = (r2 / (k - 1)) / ((1.0 - r2) / (T - k))
+    if spec.has_constant and k > 1:
+        # against the constant alone, whose SSR is the centred TSS
+        f_stat = nested_f(float(np.sum((y - stats["mean_dep"]) ** 2)), stats["ssr"], k - 1, T - k)
         f_prob = dist.f_sf(f_stat, k - 1, T - k)
     else:
         f_stat, f_prob = math.nan, math.nan

@@ -378,6 +378,33 @@ class TestTest:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("restrict", ["bb1=0.5", "1=0.5", "Bb1=0.5", "b 1=0.5", "b1=0.5,bb2=0"])
+    def test_wald_restriction_name_is_b_or_B_and_index(self, capsys, restrict):
+        code, out, err = run_cli(
+            capsys, "test", "wald", "--country", "us", "--reg", "inflation_gap,output_gap",
+            "--restrict", restrict,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: malformed restriction") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("restrict", ["b1=0.5,b1=0.5", "b2=0,B2=1", " b3 =1, B1=0,b3=2"])
+    def test_wald_index_given_twice_is_usage_error(self, capsys, restrict):
+        code, out, err = run_cli(
+            capsys, "test", "wald", "--country", "us", "--reg", "inflation_gap,output_gap",
+            "--restrict", restrict,
+        )
+        assert code == 2
+        assert out == ""
+        index = restrict.split("=")[0].strip().lower()
+        assert err == f"usage error: restriction index {index} given twice\n"
+
+    def test_wald_restriction_allows_blanks_and_upper_case(self, capsys):
+        argv = ("test", "wald", "--country", "us", "--reg", "inflation_gap,output_gap")
+        code, out, _ = run_cli(capsys, *argv, "--restrict", " B2 = 0.5 ,b1=1")
+        assert code == 0
+        assert out == run_cli(capsys, *argv, "--restrict", "b2=0.5,b1=1")[1]
+
     def test_wald_overflow_is_error(self, capsys):
         code, out, err = run_cli(
             capsys, "test", "wald", "--country", "us", "--reg", "s,output_gap",

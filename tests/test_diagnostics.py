@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylorlab import diagnostics, dist, ols
 from taylorlab.diagnostics import (
@@ -386,6 +388,16 @@ class TestWhite:
         assert rep.stat("F").value == pytest.approx(tss / ssr * 58, rel=1e-6)
         assert rep.stat("F").p == 0.0
 
+    def test_lm_test_of_an_unexplained_u_is_zero(self):
+        # x is orthogonal to u - mean: the SSR rounds above the TSS
+        x = np.array([1, 1, -1, -1, 1, 1, -1, -1.0])
+        u = np.array([5, 1, 5, 1, 5, 1, 5, 1.0])
+        rep = _lm_test("aux", "none", np.column_stack([np.ones(8), x]), u, 1)
+        assert 0.0 <= rep.stat("F").value < 1e-12
+        assert 0.0 <= rep.stat("obs_r2").value < 1e-12
+        assert rep.stat("F").p == pytest.approx(1.0, abs=1e-12)
+        assert rep.stat("obs_r2").p == pytest.approx(1.0, abs=1e-12)
+
     def test_needs_two_nonconstant_regressors(self):
         rng = np.random.default_rng(59)
         d = _toy_dataset({"y": rng.normal(size=30), "x": rng.normal(size=30)})
@@ -449,6 +461,74 @@ class TestBreuschGodfrey:
         fit = _random_fit(rng, T=10)
         with pytest.raises(SampleError):
             breusch_godfrey_test(fit, lags=8)
+
+
+# the non-constant rows of the order-8 Sylvester Hadamard matrix: +-1
+# patterns orthogonal to each other and to a constant, also when tiled
+_H2 = np.array([[1, 1], [1, -1]])
+_WALSH = np.kron(np.kron(_H2, _H2), _H2)[1:]
+
+
+class TestNestedF:
+    """The regression F, Chow, White and Breusch-Godfrey share one F rule,
+    the SSR difference clamped at zero; drawn designs, some with a part of
+    y exactly orthogonal to every regressor, where the difference rounds
+    to either side of zero."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        T=st.integers(8, 120),
+        k=st.integers(2, 5),
+        log_scale=st.floats(-8.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        walsh=st.booleans(),
+        null_slopes=st.booleans(),
+    )
+    def test_statistics_are_non_negative_and_p_values_are_probabilities(
+        self, T, k, log_scale, seed, walsh, null_slopes
+    ):
+        rng = np.random.default_rng(seed)
+        if walsh:
+            # regressors and noise are distinct +-1 patterns
+            T = 8 * (T // 8)
+            rows = rng.choice(len(_WALSH), size=k, replace=False)
+            cols = np.tile(_WALSH[rows], T // 8).astype(float)
+        else:
+            cols = rng.normal(size=(k, T))
+        X = np.column_stack([np.ones(T), *cols[1:]])
+        beta = rng.normal(size=k)
+        if null_slopes:
+            beta[1:] = 0.0
+        fitted = X @ beta
+        y = fitted + 10.0**log_scale * np.sqrt(np.mean(fitted**2)) * cols[0]
+        names = [f"x{j}" for j in range(1, k)]
+        d = _toy_dataset({"y": y, **dict(zip(names, X[:, 1:].T))})
+        spec = RegressionSpec("y", names)
+        try:
+            fit = fit_ols(d, spec)
+        except CollinearityError:
+            return
+        assert np.isfinite(fit.f_statistic) and fit.f_statistic >= 0.0
+        assert 0.0 <= fit.f_prob <= 1.0
+        if 1.0 - fit.r2 >= 1e-6:
+            # continuity with the R^2 form; near R^2 = 0 both are rounding
+            old = (fit.r2 / (k - 1)) / ((1.0 - fit.r2) / (T - k))
+            assert fit.f_statistic == pytest.approx(old, rel=1e-9, abs=1e-12)
+
+        tests = [lambda: breusch_godfrey_test(fit)]
+        if k >= 3 and T > 1 + 2 * (k - 1) + (k - 1) * (k - 2) // 2:  # White's columns
+            tests.append(lambda: white_test(fit))
+        if T // 2 > k:
+            tests.append(lambda: chow_breakpoint_test(d, spec, Quarter(2000, 1).offset(T // 2)))
+        for test in tests:
+            try:
+                rep = test()
+            except CollinearityError:
+                continue
+            for stat in rep.statistics:
+                assert 0.0 <= stat.p <= 1.0, (rep.name, stat)
+                if stat.form in ("F", "obs_r2"):
+                    assert np.isfinite(stat.value) and stat.value >= 0.0, (rep.name, stat)
 
 
 class TestJarqueBera:

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from taylorlab.errors import CollinearityError, ConfigError, SampleError
 from taylorlab.hac import HacConfig
+from taylorlab.report import render_table
 from taylorlab.ols import RegressionSpec, Term, build_design, fit_ols, solve_ols, summarize
 from taylorlab.series import Dataset, Quarter, Series
 
@@ -274,3 +277,29 @@ class TestFitOls:
         a, b = fit_ols(us_data, spec_c), fit_ols(us_data, spec_h)
         assert np.allclose(a.coefficients, b.coefficients, atol=0)
         assert not np.allclose(a.std_errors, b.std_errors)
+
+    def test_f_of_a_regressor_orthogonal_to_y_is_zero(self):
+        # x is orthogonal to y - mean, so the regression explains nothing and
+        # the SSR rounds above the TSS: an unclamped F is below zero
+        x = [1, 1, -1, -1, 1, 1, -1, -1]
+        d = _toy_dataset({"y": [2, 0, 2, 0, 2, 0, 2, 0], "x": x})
+        fit = fit_ols(d, RegressionSpec("y", ("x",)))
+        assert 0.0 <= fit.f_statistic < 1e-12
+        assert fit.f_prob == pytest.approx(1.0, abs=1e-12)
+
+    def test_f_when_r2_rounds_to_one(self):
+        # SSR is about 1e-20 of the TSS, so R^2 is 1.0, yet the fit is not
+        # exact: F is the SSR difference over the SSR, not R^2 / (1 - R^2)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=100)
+        y = 1000.0 * x + 5.0 + 1e-6 * rng.normal(size=100)
+        fit = fit_ols(_toy_dataset({"y": y, "x": x}), RegressionSpec("y", ("x",)))
+        assert fit.r2 == 1.0
+        tss = float(np.sum((y - y.mean()) ** 2))
+        assert fit.f_statistic == pytest.approx((tss - fit.ssr) / (fit.ssr / 98), rel=1e-12)
+        assert 1e19 < fit.f_statistic < 1e20 and fit.f_prob == 0.0
+        lines = render_table(fit).splitlines()
+        assert lines[-2].split() == ["F-statistic", "7.22596e+19"]
+        assert lines[-1].split() == ["Prob(F-statistic)", "0.0000"]
+        payload = json.loads(render_table(fit, "json"))
+        assert payload["f_statistic"] == fit.f_statistic and payload["f_prob"] == 0.0
