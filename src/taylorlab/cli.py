@@ -45,9 +45,10 @@ def _dataset(args):
             raise UsageError(f"cannot read --csv {args.csv}: {exc.strerror or exc}") from None
         raw = parse_quarterly_csv(text, args.country or "csv")
     else:
-        if args.country not in ("us", "uk"):
-            raise UsageError(f"--country must be us or uk, got {args.country!r}")
-        raw = embedded_dataset(args.country)
+        country = "us" if args.country is None else args.country
+        if country not in ("us", "uk"):
+            raise UsageError(f"--country must be us or uk, got {country!r}")
+        raw = embedded_dataset(country)
     cfg = TransformConfig(
         inflation_target=args.target,
         detrend=args.detrend,
@@ -56,14 +57,17 @@ def _dataset(args):
     return build_taylor_dataset(raw, cfg)
 
 
-def _parse_sample(text):
-    if not text:
-        return None
+def _parse_quarters(flag, text, form):
+    """The quarters of a flag's text, as many as ``form`` joins with ':'
+    (one for --break, which may be written 2003:Q1); any other text is a
+    usage error naming the flag and its text."""
     try:
-        lo, hi = text.split(":")
-        return (Quarter.parse(lo), Quarter.parse(hi))
-    except (ValueError, TaylorLabError):
-        raise UsageError(f"--sample must look like 1991Q1:2020Q1, got {text!r}")
+        quarters = tuple(Quarter.parse(q) for q in text.split(":", form.count(":")))
+    except TaylorLabError:
+        quarters = ()
+    if len(quarters) != form.count(":") + 1:
+        raise UsageError(f"--{flag} must look like {form}, got {text!r}")
+    return quarters
 
 
 def _spec_from_args(args) -> RegressionSpec:
@@ -77,7 +81,7 @@ def _spec_from_args(args) -> RegressionSpec:
         args.dep,
         tuple(regs),
         include_constant=args.const,
-        sample=_parse_sample(args.sample),
+        sample=_parse_quarters("sample", args.sample, "1991Q1:2020Q1") if args.sample else None,
         covariance=cov,
     )
 
@@ -143,7 +147,8 @@ def cmd_test(args) -> int:
     if args.kind == "chow":
         if not args.break_at:
             raise UsageError("chow needs --break YYYYQN")
-        report = chow_breakpoint_test(d, spec, Quarter.parse(args.break_at))
+        (break_at,) = _parse_quarters("break", args.break_at, "2003Q1")
+        report = chow_breakpoint_test(d, spec, break_at)
     else:
         fit = fit_ols(d, spec)
         if args.kind == "wald":
@@ -162,7 +167,7 @@ def cmd_test(args) -> int:
 
 
 def _add_data_args(p):
-    p.add_argument("--country", default="us", help="us or uk (embedded data)")
+    p.add_argument("--country", help="us or uk, default us; with --csv its name, default csv")
     p.add_argument("--csv", help="quarterly CSV file instead of embedded data")
     p.add_argument("--target", type=float, default=2.0, help="inflation target")
     p.add_argument(

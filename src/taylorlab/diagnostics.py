@@ -141,18 +141,19 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     )
 
 
-def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, q: int) -> TestReport:
-    """LM test from the auxiliary regression of u on Xa, whose last q columns
-    are under test: F on (q, T - p) for p auxiliary columns, and T*R^2 on q,
-    both from ``nested_f`` of the centred TSS of u against the SSR."""
+def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, ssr_r: float,
+             q: int) -> TestReport:
+    """LM test of the last q of Xa's p columns: F on (q, T - p) and T*R^2 on
+    q, both from ``nested_f`` of ssr_r, the SSR of u on the other columns,
+    which the caller names, against the SSR of u on Xa."""
     T, p = Xa.shape
     beta = solve_ols(Xa, u)
     resid = u - Xa @ beta
     ssr = float(resid @ resid)
     reject_exact_fit(ssr, Xa, beta, " in the auxiliary regression")
-    F = nested_f(float(np.sum((u - u.mean()) ** 2)), ssr, q, T - p)
-    # R^2 = (TSS - SSR) / TSS with the difference clamped as in F, where
-    # 1 - SSR / TSS can round below zero
+    F = nested_f(ssr_r, ssr, q, T - p)
+    # R^2 = (SSR_r - SSR) / SSR_r with the difference clamped as in F, where
+    # 1 - SSR / SSR_r can round below zero
     r2 = q * F / (q * F + T - p)
     return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
 
@@ -170,12 +171,10 @@ def _distinct_columns(Xa: np.ndarray) -> list[int]:
 
 
 def white_test(fit: FitResult) -> TestReport:
-    """White heteroskedasticity test with squares and cross-products."""
-    X, e = fit.x_matrix, fit.residuals.values
-    nonconst = [i for i, t in enumerate(fit.spec.regressors) if t.name != CONST]
-    if len(nonconst) < 2:
-        raise DomainError("White test needs at least two non-constant regressors")
-    regs = [X[:, i] for i in nonconst]
+    """White heteroskedasticity test: e^2 on a constant, the non-constant
+    regressors, their squares and cross-products, against the constant alone."""
+    X, u = fit.x_matrix, fit.residuals.values ** 2
+    regs = [X[:, i] for i, t in enumerate(fit.spec.regressors) if t.name != CONST]
     cols = [np.ones(fit.n_obs)] + regs + [z * z for z in regs]
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
     Xa = np.column_stack(cols)
@@ -184,16 +183,20 @@ def white_test(fit: FitResult) -> TestReport:
     # is unit-free; a zero column (two disjoint dummies' product) stays zero
     peak = np.abs(Xa).max(axis=0)
     keep = _distinct_columns(Xa / np.where(peak > 0, peak, 1.0))
+    if len(keep) < 2:
+        raise DomainError("White test needs an auxiliary column besides the constant")
     return _lm_test(
-        "Heteroskedasticity Test: White", "homoskedasticity", Xa[:, keep], e * e, len(keep) - 1
+        "Heteroskedasticity Test: White", "homoskedasticity", Xa[:, keep], u,
+        float(np.sum((u - u.mean()) ** 2)), len(keep) - 1,
     )
 
 
 def breusch_godfrey_test(fit: FitResult, lags: int = 1) -> TestReport:
     """LM test for serial correlation up to the given lag order.
 
-    The auxiliary regression adds lagged residuals to the original
-    regressors, with pre-sample residuals set to zero.
+    The auxiliary regression adds lagged residuals, pre-sample ones set to
+    zero, to the original regressors; the restricted fit is e on those alone,
+    whose SSR is e'e since X'e = 0, so R^2 is uncentred without a constant.
     """
     if not is_integer(lags):
         raise ConfigError(f"lag order must be an integer, got {lags!r}")
@@ -209,8 +212,7 @@ def breusch_godfrey_test(fit: FitResult, lags: int = 1) -> TestReport:
         "Breusch-Godfrey Serial Correlation LM Test",
         f"no serial correlation at up to {lags} lag(s)",
         np.column_stack([fit.x_matrix] + lagged),
-        e,
-        lags,
+        e, float(e @ e), lags,
     )
 
 

@@ -130,6 +130,19 @@ class TestFit:
         )
 
 
+    @pytest.mark.parametrize("argv,name", [((), "csv"), (("--country", "mine"), "mine")])
+    def test_csv_dataset_is_named_csv_or_by_country(self, capsys, tmp_path, argv, name):
+        # the US panel without its stock_index column
+        rows = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
+        p = tmp_path / "us.csv"
+        p.write_text("\n".join(row.rsplit(",", 1)[0] for row in rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--csv", str(p), "--reg", "inflation_gap,output_gap", *argv
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: dataset {name!r} is missing series: stock_index\n"
+
     def test_missing_csv_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "fit", "--csv", str(tmp_path / "missing.csv"),
@@ -446,6 +459,48 @@ class TestTest:
         assert out == ""
         assert err == ("error: sample of 2 observations cannot identify 3 parameters "
                        "over the regime 1991Q1..1991Q2\n")
+
+    @pytest.mark.parametrize("flag,text,form", [
+        ("--break", "2003Q5", "2003Q1"),
+        ("--break", "2003", "2003Q1"),
+        ("--sample", "1991Q1:2020Q5", "1991Q1:2020Q1"),
+        ("--sample", "1991Q1", "1991Q1:2020Q1"),
+    ])
+    def test_bad_quarter_is_usage_error_naming_the_flag(self, capsys, flag, text, form):
+        argv = () if flag == "--break" else ("--break", "2003Q1")
+        code, out, err = run_cli(
+            capsys, "test", "chow", "--country", "us", "--reg", "inflation_gap,output_gap",
+            flag, text, *argv,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {flag} must look like {form}, got {text!r}\n"
+
+    def test_break_may_name_its_quarter_with_a_colon(self, capsys):
+        outs = [
+            run_cli(capsys, "test", "chow", "--country", "us", "--reg", "inflation_gap",
+                    "--break", text)
+            for text in ("2003Q1", "2003:Q1")
+        ]
+        assert outs[0][0] == 0 and outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv,f,obs_r2", [
+        # the restricted fit of BG is e on X, whose SSR is e'e: the residuals'
+        # mean is 2.21 without a constant, so the centred TSS was wrong there
+        (("bg", "--reg", "inflation_gap,output_gap", "--no-const"),
+         ["819.374035", "1,114"], "102.709909"),
+        (("bg", "--reg", "inflation_gap,output_gap"), ["679.963479", "1,113"], "100.327101"),
+        # one regressor x: White's auxiliary design is [1, x, x^2]
+        (("white", "--reg", "inflation_gap"), ["1.862711", "2,114"], "3.702466"),
+        (("white", "--reg", "inflation_gap,output_gap", "--no-const"),
+         ["3.131970", "5,111"], "14.465536"),
+    ])
+    def test_lm_tests_against_their_restricted_fits(self, capsys, argv, f, obs_r2):
+        code, out, _ = run_cli(capsys, "test", argv[0], "--country", "us", *argv[1:])
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[4:]}
+        assert rows["F"][:2] == f
+        assert rows["obs_r2"][0] == obs_r2
 
     def test_bg_lags(self, capsys):
         code, out, _ = run_cli(

@@ -236,6 +236,12 @@ def _aux_obs_r2(Xa, y_aux):
     return len(y_aux) * (1.0 - resid @ resid / tss)
 
 
+def _lstsq_ssr(X, y):
+    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    resid = y - X @ beta
+    return float(resid @ resid)
+
+
 def _allclose_keep(Xa):
     """White's column dedupe as first written, one np.allclose per pair of
     columns: the reference for ``_distinct_columns``."""
@@ -384,7 +390,7 @@ class TestWhite:
         ssr = float(np.sum((u - Xa @ beta) ** 2))
         tss = float(np.sum((u - u.mean()) ** 2))
         assert 1.0 - ssr / tss == 1.0
-        rep = _lm_test("aux", "none", Xa, u, 1)
+        rep = _lm_test("aux", "none", Xa, u, tss, 1)
         assert rep.stat("F").value == pytest.approx(tss / ssr * 58, rel=1e-6)
         assert rep.stat("F").p == 0.0
 
@@ -392,17 +398,37 @@ class TestWhite:
         # x is orthogonal to u - mean: the SSR rounds above the TSS
         x = np.array([1, 1, -1, -1, 1, 1, -1, -1.0])
         u = np.array([5, 1, 5, 1, 5, 1, 5, 1.0])
-        rep = _lm_test("aux", "none", np.column_stack([np.ones(8), x]), u, 1)
+        tss = float(np.sum((u - u.mean()) ** 2))
+        rep = _lm_test("aux", "none", np.column_stack([np.ones(8), x]), u, tss, 1)
         assert 0.0 <= rep.stat("F").value < 1e-12
         assert 0.0 <= rep.stat("obs_r2").value < 1e-12
         assert rep.stat("F").p == pytest.approx(1.0, abs=1e-12)
         assert rep.stat("obs_r2").p == pytest.approx(1.0, abs=1e-12)
 
-    def test_needs_two_nonconstant_regressors(self):
+    def test_one_regressor_matches_brute_force_nested_f(self):
+        # the auxiliary design is [1, x, x^2], so q = 2
         rng = np.random.default_rng(59)
-        d = _toy_dataset({"y": rng.normal(size=30), "x": rng.normal(size=30)})
+        T = 30
+        x = rng.normal(size=T)
+        d = _toy_dataset({"y": x + (1.0 + x * x) * rng.normal(size=T), "x": x})
         fit = fit_ols(d, RegressionSpec("y", ("x",)))
-        with pytest.raises(DomainError):
+        rep = white_test(fit)
+        u = np.asarray(fit.residuals.values) ** 2
+        ssr_r = _lstsq_ssr(np.ones((T, 1)), u)
+        ssr_u = _lstsq_ssr(np.column_stack([np.ones(T), x, x * x]), u)
+        assert rep.stat("F").df == (2, T - 3)
+        assert rep.stat("F").value == pytest.approx(
+            (ssr_r - ssr_u) / 2 / (ssr_u / (T - 3)), rel=1e-10
+        )
+        assert rep.stat("obs_r2").value == pytest.approx(T * (1 - ssr_u / ssr_r), rel=1e-10)
+
+    def test_only_the_constant_survives_the_dedupe(self):
+        # without a constant, x = 5 and x^2 = 25 both duplicate the
+        # auxiliary constant: q = 0 is a DomainError, not a ZeroDivisionError
+        rng = np.random.default_rng(59)
+        d = _toy_dataset({"y": rng.normal(size=30), "x": np.full(30, 5.0)})
+        fit = fit_ols(d, RegressionSpec("y", ("x",), include_constant=False))
+        with pytest.raises(DomainError, match="auxiliary column besides the constant"):
             white_test(fit)
 
 
@@ -473,7 +499,8 @@ class TestNestedF:
     """The regression F, Chow, White and Breusch-Godfrey share one F rule,
     the SSR difference clamped at zero; drawn designs, some with a part of
     y exactly orthogonal to every regressor, where the difference rounds
-    to either side of zero."""
+    to either side of zero. y always has a level; a spec drawn without a
+    constant leaves it in the residuals, whose mean is then not zero."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -483,9 +510,10 @@ class TestNestedF:
         seed=st.integers(0, 2**32 - 1),
         walsh=st.booleans(),
         null_slopes=st.booleans(),
+        constant=st.booleans(),
     )
     def test_statistics_are_non_negative_and_p_values_are_probabilities(
-        self, T, k, log_scale, seed, walsh, null_slopes
+        self, T, k, log_scale, seed, walsh, null_slopes, constant
     ):
         rng = np.random.default_rng(seed)
         if walsh:
@@ -503,20 +531,37 @@ class TestNestedF:
         y = fitted + 10.0**log_scale * np.sqrt(np.mean(fitted**2)) * cols[0]
         names = [f"x{j}" for j in range(1, k)]
         d = _toy_dataset({"y": y, **dict(zip(names, X[:, 1:].T))})
-        spec = RegressionSpec("y", names)
+        spec = RegressionSpec("y", names, include_constant=constant)
         try:
             fit = fit_ols(d, spec)
         except CollinearityError:
             return
-        assert np.isfinite(fit.f_statistic) and fit.f_statistic >= 0.0
-        assert 0.0 <= fit.f_prob <= 1.0
-        if 1.0 - fit.r2 >= 1e-6:
+        if constant:
+            assert np.isfinite(fit.f_statistic) and fit.f_statistic >= 0.0
+            assert 0.0 <= fit.f_prob <= 1.0
+        if constant and 1.0 - fit.r2 >= 1e-6:
             # continuity with the R^2 form; near R^2 = 0 both are rounding
             old = (fit.r2 / (k - 1)) / ((1.0 - fit.r2) / (T - k))
             assert fit.f_statistic == pytest.approx(old, rel=1e-9, abs=1e-12)
 
+        # Breusch-Godfrey is the nested F of e on X against e on [X, e(-1)]
+        Xf, e = fit.x_matrix, np.asarray(fit.residuals.values)
+        Xu = np.column_stack([Xf, np.r_[0.0, e[:-1]]])
+        ssr_r, ssr_u = _lstsq_ssr(Xf, e), _lstsq_ssr(Xu, e)
+        if ssr_u >= 1e-12 * (e @ e):
+            try:
+                bg = breusch_godfrey_test(fit).stat("F").value
+            except CollinearityError:
+                pass
+            else:
+                # the floor is an SSR difference of 1e-9 of e'e, where
+                # rounding leaves an F near zero with no relative precision
+                scale = ssr_u / (T - Xu.shape[1])
+                ref = (ssr_r - ssr_u) / scale
+                assert bg == pytest.approx(ref, rel=1e-9, abs=1e-9 * ssr_r / scale)
+
         tests = [lambda: breusch_godfrey_test(fit)]
-        if k >= 3 and T > 1 + 2 * (k - 1) + (k - 1) * (k - 2) // 2:  # White's columns
+        if T > 1 + 2 * (k - 1) + (k - 1) * (k - 2) // 2:  # White's columns
             tests.append(lambda: white_test(fit))
         if T // 2 > k:
             tests.append(lambda: chow_breakpoint_test(d, spec, Quarter(2000, 1).offset(T // 2)))
