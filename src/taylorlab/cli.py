@@ -90,7 +90,9 @@ def cmd_reproduce(args) -> int:
     ids = sorted(args.tables or (
         tables_mod.US_TABLES if args.country == "us" else tables_mod.UK_TABLES
     ))
-    for tid in ids:
+    for k, tid in enumerate(ids):
+        if tid in ids[:k]:
+            raise UsageError(f"table {tid} given twice")
         if tables_mod.country_for_table(tid) != args.country:
             raise UsageError(
                 f"table {tid} does not belong to country {args.country!r}"

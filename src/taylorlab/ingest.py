@@ -47,37 +47,44 @@ def _is_number(cell) -> bool:
     return cell.__class__ is not bool
 
 
-def _decode(
-    numbers, tokens: list, cells: list, names: list[str], source: str
-) -> dict[str, Series]:
-    """Series ``names`` from rows given as row numbers, date tokens and cell lists.
-
-    The rows must be consecutive quarters, each with one cell per name.
-    Errors name the row as "<source>, row <n>". Each check makes one pass
-    over the rows before the first fault found so far, so the error raised
-    is the first fault in row order and, within a row, the first of: cell
-    count, date, order, value.
-    """
-    k = len(names)
-    end, fault = len(tokens), None  # rows before the first fault; its message
-
-    counts = list(map(len, cells))
-    if counts.count(k) != end:
-        end = next(i for i, c in enumerate(counts) if c != k)
-        fault = f"{source}, row {numbers[end]}: expected {k + 1} cells, got {counts[end] + 1}"
-
-    matches = list(map(_DATE_RE.fullmatch, tokens[:end]))
+def _dates(tokens: list) -> tuple[list[int], int, str | None]:
+    """The date stage of ``_decode``: the quarter index of each row before the
+    first date or order fault, that row (``len(tokens)`` if none) and the
+    fault's text (``None`` if none), which names no source or row number."""
+    end, fault = len(tokens), None
+    matches = list(map(_DATE_RE.fullmatch, tokens))
     if None in matches:
         end = matches.index(None)
-        fault = f"{source}, row {numbers[end]}: cannot parse date token {tokens[end]!r}"
+        fault = f"cannot parse date token {tokens[end]!r}"
         del matches[end:]
     index = [int(y) * 4 + _QUARTER_OF[month or q] for y, month, q in map(re.Match.groups, matches)]
-
     if index and index != list(range(index[0], index[0] + end)):
         end = next(i for i in range(1, end) if index[i] != index[i - 1] + 1)
         problem = ("duplicate quarter" if index[end] == index[end - 1]
                    else "not consecutive (gap or order) at")
-        fault = f"{source}, row {numbers[end]}: {problem} {Quarter.from_index(index[end])}"
+        fault = f"{problem} {Quarter.from_index(index[end])}"
+        del index[end:]
+    return index, end, fault
+
+
+def _decode(
+    numbers, tokens: list, cells: list, names: list[str], source: str, dates=None
+) -> dict[str, Series]:
+    """Series ``names`` from rows given as row numbers, date tokens and cell lists.
+
+    The rows must be consecutive quarters, each with one cell per name.
+    Errors name the row as "<source>, row <n>". The error raised is the
+    first fault in row order and, within a row, the first of: cell count,
+    date, order, value. The date stage is ``(dates or _dates)(tokens)``:
+    ``fetch_series`` passes the result of equal tokens it has decoded already.
+    """
+    k = len(names)
+    index, end, fault = (dates or _dates)(tokens)  # rows before the first fault; its text
+
+    counts = list(map(len, cells[:end + 1]))  # up to the date or order fault's row
+    if counts.count(k) != len(counts):  # within a row, the cell count comes first
+        end = next(i for i, c in enumerate(counts) if c != k)
+        fault = f"expected {k + 1} cells, got {counts[end] + 1}"
 
     flat = list(chain.from_iterable(cells[:end]))  # row by row
     try:
@@ -92,7 +99,7 @@ def _decode(
             f"{source}, row {numbers[row]}, column {names[col]!r}: unparsable cell {flat[j]!r}"
         )
     if fault:
-        raise IngestError(fault)
+        raise IngestError(f"{source}, row {numbers[end]}: {fault}")
     if not end:
         raise IngestError(f"{source} holds no observations")
     start = Quarter.from_index(index[0])
@@ -233,8 +240,8 @@ def _store(path: Path, data: bytes) -> None:
         raise FetchError(f"cannot write cache file {path}: {exc}") from exc
 
 
-def _decode_observations(name: str, raw: bytes) -> Series:
-    """One series from a FRED payload, whose dates come in ascending order."""
+def _decode_observations(name: str, raw: bytes, dates=None) -> Series:
+    """One series from a FRED payload, dates ascending; ``dates`` as for ``_decode``."""
     try:
         obs = json.loads(raw)["observations"]
         try:
@@ -247,7 +254,7 @@ def _decode_observations(name: str, raw: bytes) -> Series:
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise IngestError(f"series {name!r}: cannot decode observations payload: {exc}") from exc
     numbers = range(1, len(values) + 1)
-    return _decode(numbers, tokens, list(zip(values)), [name], f"series {name!r}")[name]
+    return _decode(numbers, tokens, list(zip(values)), [name], f"series {name!r}", dates)[name]
 
 
 def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
@@ -262,7 +269,9 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
     responses, after a line of their byte lengths: one atomic replace, or
     no write if it holds them already. A cache that cannot be created,
     written or read, or a malformed cache file, raises ``FetchError``
-    naming the path. ``http_get`` may be injected.
+    naming the path. ``http_get`` may be injected. A series whose date
+    tokens equal the previous series' takes its ``_dates`` result, so four
+    series on one calendar decode their dates once.
     """
     import urllib.parse
     from pathlib import Path
@@ -279,6 +288,13 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
     ids = [desc.series_ids[role] for role in CORE_SERIES]
     cache_path = cache_dir / _cache_key(desc.remote.base_url, ids)
     series, responses = {}, []
+    last = [None, None]  # the previous series' date tokens and their _dates result
+
+    def dates(tokens):
+        if tokens != last[0]:
+            last[:] = tokens, _dates(tokens)
+        return last[1]
+
     for role, sid in zip(CORE_SERIES, ids):
         query = urllib.parse.urlencode({
             "series_id": sid, "api_key": api_key, "file_type": "json",
@@ -295,11 +311,12 @@ def fetch_series(desc: SourceDescriptor, http_get=None) -> Dataset:
             except OSError as err:
                 raise FetchError(f"cannot read cached copy {cache_path}: {err}") from err
             responses = _unpack(cache_path, data)
-            series = dict(zip(CORE_SERIES, map(_decode_observations, CORE_SERIES, responses)))
+            series = {role: _decode_observations(role, raw, dates)
+                      for role, raw in zip(CORE_SERIES, responses)}
             break
         if not isinstance(raw, (bytes, bytearray)):
             raise FetchError(f"fetch of {sid!r} returned {type(raw).__name__}, not bytes")
-        series[role] = _decode_observations(role, raw)
+        series[role] = _decode_observations(role, raw, dates)
         responses.append(raw)
     dataset = Dataset(desc.country, series)
     data = b" ".join(b"%d" % len(raw) for raw in responses) + b"\n" + b"".join(responses)

@@ -44,6 +44,10 @@ class TestReproduce:
         assert code == 2
         assert "usage error" in err
 
+    def test_repeated_table_id_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "reproduce", "--country", "us", "3", "1", "3")
+        assert (code, out, err) == (2, "", "usage error: table 3 given twice\n")
+
     def test_unknown_table_id(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "--country", "us", "99")
         assert code == 2

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import stat
+import tempfile
 import threading
 import urllib.error
 import urllib.parse
@@ -26,7 +27,7 @@ from taylorlab.ingest import (
     fetch_series,
     parse_quarterly_csv,
 )
-from taylorlab.series import CORE_SERIES, Quarter, Series, common_span
+from taylorlab.series import CORE_SERIES, Dataset, Quarter, Series, common_span
 
 
 class TestParseQuarterToken:
@@ -941,3 +942,140 @@ class TestDecodeContract:
         assert _outcome(lambda: {"cpi": ingest._decode_observations("cpi", raw)}) == _outcome(
             lambda: _reference_fred("cpi", raw)
         )
+
+
+def _iso(index, month=0, day="01"):
+    """The ISO date of the ``month``-th month (0-2) of quarter ``index``."""
+    year, q = divmod(index, 4)
+    return f"{year}-{3 * q + month + 1:02d}-{day}"
+
+
+# the forms of one quarter's date token; every one decodes to that quarter
+_FORMS = [
+    _iso,
+    lambda i: _iso(i, 1),
+    lambda i: _iso(i, 2, "15"),
+    lambda i: f"{i // 4}Q{i % 4 + 1}",
+    lambda i: f" {i // 4}:q{i % 4 + 1}",
+]
+
+
+@st.composite
+def _date_columns(draw):
+    """Four date columns over one panel, as lists of ("q", index, form) and
+    ("bad", token) entries. Each column after the first equals the one
+    before, differs from it in one token (an unparsable date, a repeated
+    quarter or a gap), is shifted by one quarter, or holds the same quarters
+    in other forms."""
+    n = draw(st.integers(1, 10))
+    first = draw(st.integers(1947 * 4, 2020 * 4))
+    column = [("q", first + i, draw(st.integers(0, len(_FORMS) - 1))) for i in range(n)]
+    columns = [column]
+    for _ in CORE_SERIES[1:]:
+        column = list(column)
+        how = draw(st.sampled_from(["equal", "token", "shift", "form"]))
+        if how == "token":
+            i = draw(st.integers(0, n - 1))
+            index = first + i  # the quarter row i has in an unbroken column
+            column[i] = draw(st.sampled_from([
+                ("bad", "n/a"), ("bad", ""), ("bad", _iso(index)[:-1]), ("bad", f"{index // 4}Q5"),
+                ("q", index - 1, 0),  # row i - 1's quarter again
+                ("q", index + 1, 0),  # a gap before row i
+            ]))
+        elif how == "shift":
+            step = draw(st.sampled_from([-1, 1]))
+            first += step
+            column = [(e[0], e[1] + step, e[2]) if e[0] == "q" else e for e in column]
+        elif how == "form":
+            column = [
+                ("q", e[1], draw(st.integers(0, len(_FORMS) - 1))) if e[0] == "q" else e
+                for e in column
+            ]
+        columns.append(column)
+    return columns
+
+
+@st.composite
+def _four_payloads(draw):
+    """A FRED payload per core series on ``_date_columns``, each with up to
+    two rows whose value is faulty."""
+    payloads = {}
+    for role, column in zip(CORE_SERIES, draw(_date_columns())):
+        values = [draw(_GOOD_JSON_VALUE) for _ in column]
+        for i in draw(st.lists(st.integers(0, len(column) - 1), max_size=2)):
+            values[i] = draw(_BAD_JSON_VALUE | _BAD_CELL)
+        tokens = [_FORMS[e[2]](e[1]) if e[0] == "q" else e[1] for e in column]
+        payloads[role] = _observations(*zip(tokens, values))
+    return payloads
+
+
+def _fetch_outcome(fetch):
+    """``_outcome`` of the series of ``fetch()``'s ``Dataset``, in their order."""
+    outcome = _outcome(lambda: fetch().series)
+    return list(outcome.items()) if isinstance(outcome, dict) else outcome
+
+
+class TestFetchContract:
+    """A fetch against the row-by-row reference, series by series."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(payloads=_four_payloads())
+    def test_fetch_matches_reference_online_and_offline(self, payloads):
+        expected = _fetch_outcome(lambda: Dataset("us", {
+            role: _reference_fred(role, payloads[role])[role] for role in CORE_SERIES
+        }))
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setenv("FRED_API_KEY", "k123")
+            desc = _remote_descriptor(Path(tmp))
+            online = _fetch_outcome(lambda: fetch_series(desc, _get_by_role(desc, payloads)))
+            assert online == expected
+            packed = _packed([payloads[role] for role in CORE_SERIES])
+            if isinstance(online, list):
+                assert _cache_path(desc).read_bytes() == packed
+            else:  # a fetch that fails stores nothing: serve its responses from the cache
+                _cache_path(desc).write_bytes(packed)
+            assert _fetch_outcome(lambda: fetch_series(desc, _offline)) == expected
+
+
+class TestDateStageCount:
+    """``_dates`` runs once per run of equal date columns in a fetch, and
+    once per CSV parse."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, dates = [], ingest._dates
+
+        def counting(tokens):
+            calls.append(tokens)
+            return dates(tokens)
+
+        monkeypatch.setattr(ingest, "_dates", counting)
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        return calls
+
+    def test_four_series_sharing_one_column_decode_it_once(self, tmp_path, calls):
+        desc = _remote_descriptor(tmp_path)
+        payloads = {role: _payload(base=100.0 * k) for k, role in enumerate(CORE_SERIES, 1)}
+        for get in (_get_by_role(desc, payloads), _offline):
+            calls.clear()
+            d = fetch_series(desc, http_get=get)
+            assert len(calls) == 1
+            assert [d[role].values[1] for role in CORE_SERIES] == [101.0, 201.0, 301.0, 401.0]
+            assert {d[role].start for role in CORE_SERIES} == {Quarter(1990, 1)}
+
+    def test_columns_differing_pairwise_decode_four_times(self, tmp_path, calls):
+        desc = _remote_descriptor(tmp_path)
+        starts = dict(zip(CORE_SERIES, (Quarter(1990, 1).offset(k) for k in range(4))))
+        payloads = {role: _payload(start=start) for role, start in starts.items()}
+        for get in (_get_by_role(desc, payloads), _offline):
+            calls.clear()
+            d = fetch_series(desc, http_get=get)
+            assert len(calls) == 4
+            assert {role: d[role].start for role in CORE_SERIES} == starts
+
+    def test_csv_parse_decodes_its_dates_once(self, calls):
+        d = parse_quarterly_csv(
+            "date,a,b,c\n1990-01-01,1,2,3\n1990-04-01,4,5,6\n1990Q3,7,8,9\n"
+        )
+        assert len(calls) == 1
+        assert d["c"].values.tolist() == [3.0, 6.0, 9.0]
