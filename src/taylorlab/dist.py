@@ -5,7 +5,9 @@ series for the gamma function at small arguments and modified Lentz
 continued fractions elsewhere. Target absolute accuracy is 1e-10 or
 better over the df ranges used here. A series or fraction that has not
 converged within its term cap raises DomainError instead of returning a
-partial sum.
+partial sum. A df or shape parameter that is not positive and finite, or a
+NaN argument, raises DomainError before any series or fraction runs; an
+infinite statistic has an upper tail of 0.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ _TINY = 1e-300
 # Term cap shared by the power series and the continued fractions; the
 # incomplete-beta fraction takes two terms per step of its recurrence.
 _MAX_ITER = 1000
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def _continued_fraction(b0: float, terms) -> float:
@@ -77,12 +84,13 @@ def _gamma_q_cf(a: float, x: float) -> float:
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
     x = float(x)  # numpy scalars would make every term several times slower
-    if a <= 0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0:
+    _check_positive("shape parameter", a)
+    if not x >= 0:
         raise DomainError(f"argument must be non-negative, got {x}")
     if x == 0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     front = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
         return 1.0 - front * _gamma_p_series(a, x)
@@ -106,9 +114,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
 def regularized_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     x = float(x)  # numpy scalars would make every term several times slower
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
-    if x < 0 or x > 1:
+    _check_positive("beta parameter a", a)
+    _check_positive("beta parameter b", b)
+    if not 0 <= x <= 1:
         raise DomainError(f"argument must lie in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return x
@@ -129,12 +137,9 @@ def normal_cdf(x: float) -> float:
 
 def chi2_sf(x: float, df: float) -> float:
     """Upper-tail probability P(X > x) for chi-square with df degrees."""
-    if df <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    _check_positive("degrees of freedom", df)
     if not x >= 0:
         raise DomainError(f"chi-square statistic must be non-negative, got {x}")
-    if x == math.inf:
-        return 0.0
     return regularized_gamma_q(df / 2.0, x / 2.0)
 
 
@@ -142,13 +147,14 @@ def student_t_sf2(t: float, df: float) -> float:
     """Two-sided p-value 2 * P(T > |t|) for Student-t: T^2 follows F(1, df)."""
     if math.isnan(t):
         raise DomainError("t statistic is NaN")
+    _check_positive("degrees of freedom", df)
     return f_sf(t * t, 1, df)
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:
     """Upper-tail probability for the Fisher F distribution."""
-    if df1 <= 0 or df2 <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got ({df1}, {df2})")
+    _check_positive("df1", df1)
+    _check_positive("df2", df2)
     if not x >= 0:
         raise DomainError(f"F statistic must be non-negative, got {x}")
     if x == 0.0:

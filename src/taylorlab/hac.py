@@ -23,8 +23,8 @@ class HacConfig(Record):
 
 def default_bandwidth(T: int) -> int:
     """Fixed Newey-West bandwidth rule: floor(4 * (T/100)^(2/9)) + 1."""
-    if T < 2:
-        raise DomainError(f"sample size must be at least 2, got {T}")
+    if not is_integer(T) or T < 2:
+        raise DomainError(f"sample size must be an integer of at least 2, got {T!r}")
     return int(4.0 * (T / 100.0) ** (2.0 / 9.0)) + 1
 
 

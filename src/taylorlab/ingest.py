@@ -19,16 +19,16 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FetchError, IngestError
 from .records import Frozen, Record
-from .series import CORE_SERIES, Dataset, Quarter, Series
+from .series import _QUARTER, CORE_SERIES, Dataset, Quarter, Series
 
 if TYPE_CHECKING:
     from pathlib import Path
 
 # A date token, blanks around it allowed: an ISO date with a day of 01-31,
-# whose month gives the quarter, or a quarter such as 1990Q1, 1990-Q1,
-# 1990:q1 or 1990 Q1.
+# whose month gives the quarter, or a quarter in the form Quarter.parse reads.
+# Its groups: the ISO year and month, then the quarter's year and number.
 _DATE_RE = re.compile(
-    r"\s*(\d{4})(?:-(0[1-9]|1[0-2])-(?:0[1-9]|[12]\d|3[01])|[-: ]?[Qq]([1-4]))\s*"
+    rf"\s*(?:(\d{{4}})-(0[1-9]|1[0-2])-(?:0[1-9]|[12]\d|3[01])|{_QUARTER})\s*"
 )
 # the quarter within its year (0-3) of a month group or a quarter group
 _QUARTER_OF = {f"{m:02d}": (m - 1) // 3 for m in range(1, 13)}
@@ -57,7 +57,8 @@ def _dates(tokens: list) -> tuple[list[int], int, str | None]:
         end = matches.index(None)
         fault = f"cannot parse date token {tokens[end]!r}"
         del matches[end:]
-    index = [int(y) * 4 + _QUARTER_OF[month or q] for y, month, q in map(re.Match.groups, matches)]
+    index = [int(y or qy) * 4 + _QUARTER_OF[month or q]
+             for y, month, qy, q in map(re.Match.groups, matches)]
     if index and index != list(range(index[0], index[0] + end)):
         end = next(i for i in range(1, end) if index[i] != index[i - 1] + 1)
         problem = ("duplicate quarter" if index[end] == index[end - 1]

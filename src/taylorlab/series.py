@@ -14,7 +14,9 @@ import numpy as np
 from .errors import DomainError, SampleError
 from .records import Frozen, Record, is_integer
 
-_QUARTER_RE = re.compile(r"^(\d{4})[-: ]?Q([1-4])$", re.IGNORECASE)
+# A quarter such as 1990Q1, 1990-Q1, 1990:q1 or 1990 Q1, grouping the year and
+# the quarter number. ``ingest`` builds its date-token pattern from it.
+_QUARTER = r"(\d{4})[-: ]?[Qq]([1-4])"
 
 
 class Quarter(Record):
@@ -43,7 +45,7 @@ class Quarter(Record):
     @classmethod
     def parse(cls, text: str) -> "Quarter":
         """Parse forms like '1991Q1', '1991-Q1' or '1991:Q1'."""
-        m = _QUARTER_RE.match(text.strip())
+        m = re.fullmatch(_QUARTER, text.strip())
         if not m:
             raise DomainError(f"cannot parse quarter {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))

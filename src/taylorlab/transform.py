@@ -82,17 +82,13 @@ def _hp_cycle(y: np.ndarray, lam: float) -> np.ndarray:
     # 1/d[i-2], which leaves l[i] = (-4 - l[i-1]) / d[i-1] on the first and
     # d[i] = a - l[i] (-4 - l[i-1]) - 1/d[i-2]. Factor and forward-eliminate
     # in one pass on Python floats, keeping r = 1/d (0 once 1/lam overflows,
-    # giving a zero cycle); rows 0 and 1 are unrolled.
+    # giving a zero cycle). Rows 0 and 1 are the same step from a zero state.
     m = len(b)
     L = [0.0] * (m + 1)  # L[i] = l[i]; L[m] = 0 closes the back substitution
     R = [0.0] * m
     Z = [0.0] * m
-    R[0] = rpp = 1.0 / a
-    L[1] = lp = -4.0 * rpp
-    R[1] = rp = 1.0 / (a - 16.0 * rpp)
-    Z[0] = zpp = b[0]
-    Z[1] = zp = b[1] - lp * zpp
-    for i in range(2, m):
+    lp = rp = rpp = zp = zpp = 0.0
+    for i in range(m):
         t = -4.0 - lp
         lp = t * rp
         zpp, zp = zp, b[i] - lp * zp - rpp * zpp

@@ -464,6 +464,12 @@ class TestTest:
         assert err == ("error: sample of 2 observations cannot identify 3 parameters "
                        "over the regime 1991Q1..1991Q2\n")
 
+    def test_chow_without_break_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "test", "chow", "--country", "us", "--reg", "inflation_gap",
+        )
+        assert (code, out, err) == (2, "", "usage error: chow needs --break YYYYQN\n")
+
     @pytest.mark.parametrize("flag,text,form", [
         ("--break", "2003Q5", "2003Q1"),
         ("--break", "2003", "2003Q1"),

@@ -584,6 +584,12 @@ class TestJarqueBera:
         assert rep.stat("jb").value == pytest.approx(12 / 6, abs=1e-12)
         assert rep.stat("jb").df == (2,)
 
+    def test_missing_statistic_form_is_a_key_error(self):
+        rep = jarque_bera_test(Series("e", Quarter(2000, 1), (1.0, -1.0) * 6))
+        with pytest.raises(KeyError) as excinfo:
+            rep.stat("F")
+        assert excinfo.value.args == ("report 'Jarque-Bera Normality Test' has no 'F' statistic",)
+
     def test_zero_statistic_sample(self):
         # symmetric with fourth moment ratio exactly 3
         e = Series("e", Quarter(2000, 1), (-1.0, 1.0, 0.0, 0.0, 0.0, 0.0))

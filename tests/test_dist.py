@@ -125,6 +125,45 @@ class TestFSf:
             dist.f_sf(math.nan, 2, 30)
 
 
+
+class TestNonFiniteArguments:
+    """A NaN or infinite df or shape, or a NaN argument, is refused before any
+    series or fraction runs, with a message naming it."""
+
+    @pytest.mark.parametrize("fn,args,message", [
+        # the limit of f_sf(2, df1, 10) as df1 grows is P(chi2_10 < 5), not 0
+        (dist.f_sf, (2.0, math.inf, 10), "df1 must be positive and finite, got inf"),
+        (dist.f_sf, (2.0, 3, math.inf), "df2 must be positive and finite, got inf"),
+        (dist.f_sf, (2.0, math.nan, 10), "df1 must be positive and finite, got nan"),
+        (dist.chi2_sf, (10.0, math.inf), "degrees of freedom must be positive and finite, got inf"),
+        (dist.chi2_sf, (10.0, math.nan), "degrees of freedom must be positive and finite, got nan"),
+        (dist.student_t_sf2, (2.0, math.inf),
+         "degrees of freedom must be positive and finite, got inf"),
+        (dist.student_t_sf2, (2.0, math.nan),
+         "degrees of freedom must be positive and finite, got nan"),
+        (dist.regularized_gamma_q, (math.inf, 1.0),
+         "shape parameter must be positive and finite, got inf"),
+        (dist.regularized_gamma_q, (math.nan, 1.0),
+         "shape parameter must be positive and finite, got nan"),
+        (dist.regularized_gamma_q, (2.0, math.nan), "argument must be non-negative, got nan"),
+        (dist.regularized_beta, (math.inf, 1.0, 0.5),
+         "beta parameter a must be positive and finite, got inf"),
+        (dist.regularized_beta, (1.0, math.nan, 0.5),
+         "beta parameter b must be positive and finite, got nan"),
+        (dist.regularized_beta, (1.0, 1.0, math.nan), r"argument must lie in \[0, 1\], got nan"),
+    ])
+    def test_rejected_before_any_series_runs(self, fn, args, message, monkeypatch):
+        def no_terms(*_):
+            raise AssertionError("a series or fraction ran")
+
+        for name in ("_gamma_p_series", "_gamma_q_cf", "_beta_cf"):
+            monkeypatch.setattr(dist, name, no_terms)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            fn(*args)
+
+    def test_gamma_q_of_infinite_argument_is_zero(self):
+        assert dist.regularized_gamma_q(2.5, math.inf) == 0.0
+
 class TestCdfsAgainstQuadrature:
     """Each tail function is checked against adaptive integration of its
     density at random points."""

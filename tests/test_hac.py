@@ -18,6 +18,12 @@ class TestDefaultBandwidth:
         with pytest.raises(DomainError):
             default_bandwidth(1)
 
+    @pytest.mark.parametrize("T", [120.7, float("nan"), True])
+    def test_sample_size_must_be_an_integer(self, T):
+        message = f"^sample size must be an integer of at least 2, got {T!r}$"
+        with pytest.raises(DomainError, match=message):
+            default_bandwidth(T)
+
     def test_grows_with_sample(self):
         sizes = [default_bandwidth(T) for T in (10, 100, 1000, 10000)]
         assert sizes == sorted(sizes)

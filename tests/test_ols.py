@@ -88,6 +88,14 @@ class TestRegressionSpec:
         with pytest.raises(ConfigError, match="pair of Quarters"):
             RegressionSpec("y", ("x",), sample=sample)
 
+    def test_no_regressor_and_no_constant_rejected(self):
+        with pytest.raises(ConfigError, match="^model needs at least one regressor or a constant$"):
+            RegressionSpec("it", (), include_constant=False)
+
+    def test_covariance_must_be_a_hac_config(self):
+        with pytest.raises(ConfigError, match="^unknown covariance estimator 'hac'$"):
+            RegressionSpec("it", ("s",), covariance="hac")
+
 
 class TestSolveOls:
     def test_matches_normal_equations(self):

@@ -112,6 +112,11 @@ class TestRenderTable:
         with pytest.raises(ConfigError):
             render_table(us_fit, "yaml")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unknown_result_type_rejected(self, fmt):
+        with pytest.raises(ConfigError, match="^cannot render object of type object$"):
+            render_table(object(), fmt)
+
 
 class TestGoldenTables:
     def test_all_seventeen_load(self):

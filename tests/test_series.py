@@ -1,4 +1,6 @@
 import math
+import operator
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +67,24 @@ class TestQuarter:
             Quarter(1991, 1) > (1991, 1)
         with pytest.raises(TypeError):
             Quarter(1991, 1) >= (1991, 1)
+
+    @pytest.mark.parametrize("op,symbol", [(operator.lt, "<"), (operator.le, "<=")])
+    def test_ordering_against_a_tuple_is_a_type_error(self, op, symbol):
+        with pytest.raises(TypeError, match=f"^'{symbol}' not supported between instances of "
+                                            "'Quarter' and 'tuple'$"):
+            op(Quarter(1991, 1), (1991, 2))
+
+    @pytest.mark.parametrize("text,quarter", [
+        ("1991Q1", (1991, 1)), ("1991-q2", (1991, 2)), ("1991:Q3", (1991, 3)),
+        ("1991 Q4", (1991, 4)), (" \t1991Q1\n", (1991, 1)),
+    ])
+    def test_parse_forms(self, text, quarter):
+        assert Quarter.parse(text) == Quarter(*quarter)
+
+    @pytest.mark.parametrize("text", ["1991-01-01", "1991Q0", "91Q1", "1991/Q1", "1991QQ1", ""])
+    def test_parse_rejects(self, text):
+        with pytest.raises(DomainError, match=f"^cannot parse quarter {re.escape(repr(text))}$"):
+            Quarter.parse(text)
 
     @given(st.integers(-3000, 3000), st.integers(1, 4), st.integers(-500, 500))
     def test_from_index_inverts_index(self, year, q, k):
@@ -250,3 +270,7 @@ class TestDataset:
     def test_require_names_missing(self, us_data):
         with pytest.raises(SampleError, match="nope"):
             us_data.require("nope")
+
+    def test_empty_dataset_raises(self):
+        with pytest.raises(SampleError, match="^dataset needs at least one series$"):
+            Dataset("x", {})

@@ -221,6 +221,10 @@ class TestHpFilterGap:
             with pytest.raises(DomainError):
                 hp_filter_gap(_series([1.0] * 10, "gdp"), lam)
 
+    def test_three_quarters_raise(self):
+        with pytest.raises(SampleError, match="^need at least 4 observations for trend filtering$"):
+            hp_filter_gap(_series([1.0, 2.0, 3.0], "gdp"))
+
 
 class TestBuildTaylorDataset:
     def test_us_adjusted_sample(self, us_data):
