@@ -158,14 +158,22 @@ def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, ssr_r: float,
     return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.allclose``'s elementwise rule |a - b| <= 1e-8 + 1e-5 |b|."""
+    return np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)
+
+
 def _distinct_columns(Xa: np.ndarray) -> list[int]:
     """Greedy keep set: column i is dropped when ``np.allclose(Xa[:, i],
-    Xa[:, j])`` holds for a kept j, that is |a_i - a_j| <= 1e-8 + 1e-5 |a_j|
-    on every row. Each column is compared with all kept ones at once."""
+    Xa[:, j])`` holds for a kept j, that is ``_close`` on every row. Every
+    pair is first compared at once on about eight probe rows; a pair close
+    on every row is close on those, so only the pairs that pass there are
+    compared on every row."""
+    P = Xa[:: max(1, len(Xa) // 8), :, None]
+    near = _close(P, P.swapaxes(1, 2)).all(axis=0).tolist()
     keep: list[int] = []
-    for i in range(Xa.shape[1]):
-        K = Xa[:, keep]
-        if not (np.abs(Xa[:, [i]] - K) <= 1e-8 + 1e-5 * np.abs(K)).all(axis=0).any():
+    for i, a in enumerate(Xa.T):
+        if not any(near[i][j] and _close(a, Xa[:, j]).all() for j in keep):
             keep.append(i)
     return keep
 
@@ -187,7 +195,7 @@ def white_test(fit: FitResult) -> TestReport:
         raise DomainError("White test needs an auxiliary column besides the constant")
     return _lm_test(
         "Heteroskedasticity Test: White", "homoskedasticity", Xa[:, keep], u,
-        float(np.sum((u - u.mean()) ** 2)), len(keep) - 1,
+        float(((u - u.mean()) ** 2).sum()), len(keep) - 1,
     )
 
 
@@ -228,11 +236,11 @@ def jarque_bera_test(residuals: Series) -> TestReport:
     if T < 4:
         raise SampleError(f"need at least 4 residuals, got {T}")
     m = e - e.mean()
-    m2 = float(np.mean(m**2))
+    m2 = float((m**2).mean())
     if m2 <= 0:
         raise DomainError("residuals have zero variance")
-    skew = float(np.mean(m**3)) / m2**1.5
-    kurt = float(np.mean(m**4)) / m2**2
+    skew = float((m**3).mean()) / m2**1.5
+    kurt = float((m**4).mean()) / m2**2
     jb = T / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
     return TestReport(
         name="Jarque-Bera Normality Test",

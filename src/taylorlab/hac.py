@@ -8,6 +8,8 @@ import numpy as np
 from .errors import CollinearityError, ConfigError, DomainError
 from .records import Record, is_integer
 
+_EPS = np.finfo(float).eps  # float64's machine epsilon, as a numpy float64
+
 
 class HacConfig(Record):
     _fields = ("bandwidth",)
@@ -68,15 +70,14 @@ def moment_root(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarr
         S, n = long_run_cov(Z * e[:, None], m), min(m, T)
     scale = np.sqrt(np.einsum("ij,ij->j", Z, Z) * ee) / T
     scale[scale == 0] = 1.0  # a zero moment leaves a zero row, which the rcond test rejects
-    S = S / np.outer(scale, scale)
+    S = S / (scale[:, None] * scale)
     w, V = np.linalg.eigh(S)
-    eps = np.finfo(float).eps
-    if w[0] <= k * eps * w[-1]:
+    if w[0] <= k * _EPS * w[-1]:
         raise CollinearityError(
             "singular moment covariance: the moments z_t * e_t are linearly dependent "
             "up to rounding"
         )
-    if np.diag(S).min() <= n * eps:
+    if S.diagonal().min() <= n * _EPS:
         raise CollinearityError(
             "singular moment covariance: the variance of a moment z_t * e_t is rounding noise"
         )

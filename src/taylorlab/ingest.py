@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 # whose month gives the quarter, or a quarter in the form Quarter.parse reads.
 # Its groups: the ISO year and month, then the quarter's year and number.
 _DATE_RE = re.compile(
-    rf"\s*(?:(\d{{4}})-(0[1-9]|1[0-2])-(?:0[1-9]|[12]\d|3[01])|{_QUARTER})\s*"
+    rf"\s*(?:([0-9]{{4}})-(0[1-9]|1[0-2])-(?:0[1-9]|[12][0-9]|3[01])|{_QUARTER})\s*"
 )
 # the quarter within its year (0-3) of a month group or a quarter group
 _QUARTER_OF = {f"{m:02d}": (m - 1) // 3 for m in range(1, 13)}

@@ -9,13 +9,13 @@ import numpy as np
 
 from . import dist
 from .errors import CollinearityError, ConfigError, SampleError
-from .hac import HacConfig, coef_cov
+from .hac import _EPS, HacConfig, coef_cov
 from .records import Frozen, Record, is_integer
 from .series import Dataset, Quarter, Series, lag
 
 CONST = "const"
 
-_TERM_RE = re.compile(r"^([A-Za-z_][\w]*)(?:\(-(\d+)\))?$")
+_TERM_RE = re.compile(r"^([A-Za-z_][\w]*)(?:\(-([0-9]+)\))?$")
 
 
 class Term(Record):
@@ -150,7 +150,7 @@ def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
     reject_unidentified(T, k)
     s = unit_scale(X)
     Q, R = np.linalg.qr(X * s)
-    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    diag = np.abs(R.diagonal(axis1=-2, axis2=-1))
     tol = 1e-10 * diag.max(axis=-1, keepdims=True) if k else 0.0
     bad = diag <= tol
     if bad.any():
@@ -161,8 +161,8 @@ def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
             f"design matrix is rank deficient in columns: {', '.join(names[i] for i in cols)}"
         )
     vector = y.ndim < X.ndim
-    beta = np.linalg.solve(R, np.swapaxes(Q, -1, -2) @ (y[..., None] if vector else y))
-    beta = beta * np.swapaxes(s, -1, -2)
+    beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ (y[..., None] if vector else y))
+    beta = beta * s.swapaxes(-1, -2)
     return beta[..., 0] if vector else beta
 
 
@@ -249,7 +249,7 @@ def reject_exact_fit(ssr: float, X: np.ndarray, beta: np.ndarray, where: str = "
     column scaling exactly, so the rule is unit-free. ``where`` is appended
     to the message."""
     f = np.abs(X) @ np.abs(beta)
-    if ssr <= (np.finfo(float).eps * len(f)) ** 2 * float(f @ f):
+    if ssr <= (_EPS * len(f)) ** 2 * float(f @ f):
         raise CollinearityError(
             f"dependent variable is an exact linear combination of the regressors{where}"
         )
@@ -266,12 +266,12 @@ def summarize(
     ssr = float(e @ e)
     mean = float(y.mean())
     dev = y - mean
-    dev2 = float(np.sum(dev * dev))  # pairwise, as np.std sums it
+    dev2 = float((dev * dev).sum())  # pairwise, as np.std sums it
     tss = dev2 if has_constant else float(y @ y)
     reject_exact_fit(ssr, X, beta)
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
-    dw = float(np.sum(np.diff(e) ** 2) / ssr)
+    dw = float(((e[1:] - e[:-1]) ** 2).sum() / ssr)
     return {
         "n_obs": T,
         "n_params": k,
@@ -288,7 +288,7 @@ def summarize(
 def inference(beta: np.ndarray, V: np.ndarray, df: int) -> dict:
     """Coefficients and covariance with their standard errors, t statistics
     and two-sided Student-t p-values on ``df`` degrees of freedom."""
-    se = np.sqrt(np.diag(V))
+    se = np.sqrt(V.diagonal())
     t_stats = beta / se
     return {
         "coefficients": beta,
@@ -324,7 +324,7 @@ def fit_ols(d: Dataset, spec: RegressionSpec) -> FitResult:
 
     if spec.has_constant and k > 1:
         # against the constant alone, whose SSR is the centred TSS
-        f_stat = nested_f(float(np.sum((y - stats["mean_dep"]) ** 2)), stats["ssr"], k - 1, T - k)
+        f_stat = nested_f(float(((y - stats["mean_dep"]) ** 2).sum()), stats["ssr"], k - 1, T - k)
         f_prob = dist.f_sf(f_stat, k - 1, T - k)
     else:
         f_stat, f_prob = math.nan, math.nan

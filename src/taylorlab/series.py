@@ -16,7 +16,7 @@ from .records import Frozen, Record, is_integer
 
 # A quarter such as 1990Q1, 1990-Q1, 1990:q1 or 1990 Q1, grouping the year and
 # the quarter number. ``ingest`` builds its date-token pattern from it.
-_QUARTER = r"(\d{4})[-: ]?[Qq]([1-4])"
+_QUARTER = r"([0-9]{4})[-: ]?[Qq]([1-4])"
 
 
 class Quarter(Record):
@@ -44,8 +44,8 @@ class Quarter(Record):
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":
-        """Parse forms like '1991Q1', '1991-Q1' or '1991:Q1'."""
-        m = re.fullmatch(_QUARTER, text.strip())
+        """Parse forms like '1991Q1', '1991-Q1' or '1991:Q1', with ASCII digits."""
+        m = re.fullmatch(_QUARTER, text.strip()) if isinstance(text, str) else None
         if not m:
             raise DomainError(f"cannot parse quarter {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -90,11 +90,10 @@ class Series(Frozen):
             raise DomainError(f"series {name!r} values must be one-dimensional")
         if values.size == 0:
             raise SampleError(f"series {name!r} must hold at least one value")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise DomainError(
-                f"series {name!r} has non-finite value at {start.offset(int(bad[0]))}"
-            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(finite.argmin())  # the first non-finite value
+            raise DomainError(f"series {name!r} has non-finite value at {start.offset(i)}")
         self.__dict__.update(name=name, start=start, values=values)
 
     def __len__(self) -> int:
@@ -153,9 +152,9 @@ def lag(s: Series, k: int) -> Series:
 
 def natural_log(s: Series) -> Series:
     """Elementwise natural log; every value must be strictly positive."""
-    bad = np.flatnonzero(s.values <= 0)
-    if bad.size:
-        i = int(bad[0])
+    bad = s.values <= 0
+    if bad.any():
+        i = int(bad.argmax())  # the first non-positive value
         raise DomainError(
             f"log of series {s.name!r} undefined at {s.start.offset(i)}: value {s.values[i]}"
         )

@@ -116,6 +116,22 @@ class TestFit:
         assert code == 2
         assert "usage error" in err
 
+    def test_lag_in_non_ascii_digits_is_an_error(self, capsys):
+        # \d read the Arabic-Indic one as lag 1 and fitted 116 quarters
+        code, out, err = run_cli(
+            capsys, "fit", "--country", "us", "--reg", "inflation_gap(-\u0661),output_gap"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse term 'inflation_gap(-\u0661)'; expected name or name(-k)\n"
+
+    def test_sample_in_non_ascii_digits_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fit", "--country", "uk", "--reg", "inflation_gap",
+            "--sample", "\u0661\u0669\u0669\u0665Q1:2005Q4",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --sample must look like 1991Q1:2020Q1")
+
     def test_missing_regressors(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--country", "us")
         assert code == 2

@@ -329,12 +329,14 @@ class TestWhite:
         shifts = (0.0, 5e-9, 1e-8, 2e-8)
         dropped = 0
         for _ in range(300):
-            T, p = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+            T, p = int(rng.integers(2, 400)), int(rng.integers(1, 8))
+            # the screen's probe rows are every (T // 8)-th, all rows below 16
+            off_probe = [r for r in range(T) if r % max(1, T // 8)] or list(range(T))
             # column scales from 1e-9 (within atol of zero) to 1e2
             cols = list(rng.normal(size=(p, T)) * 10.0 ** rng.integers(-9, 3, size=(p, 1)))
             for _ in range(int(rng.integers(0, 7))):
                 src = cols[int(rng.integers(len(cols)))]
-                kind = int(rng.integers(4))
+                kind = int(rng.integers(5))
                 if kind == 0:
                     new = [src * rng.choice(scales)]
                 elif kind == 1:
@@ -342,6 +344,11 @@ class TestWhite:
                 elif kind == 2:
                     dummy = (src > 0).astype(float)
                     new = [dummy, dummy * dummy]
+                elif kind == 3:
+                    # a copy that differs on one row, which no probe row sees
+                    r = off_probe[int(rng.integers(len(off_probe)))]
+                    new = [src.copy()]
+                    new[0][r] = src[r] * rng.choice(scales + (2.0,)) + rng.choice(shifts)
                 else:
                     new = [np.zeros(T)]
                 for c in new:

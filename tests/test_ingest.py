@@ -44,7 +44,12 @@ class TestParseQuarterToken:
     def test_accepted_formats(self, token, expected):
         assert parse_quarterly_csv(f"date,x\n{token},1.0\n")["x"].start == expected
 
-    @pytest.mark.parametrize("token", ["", "Q1-1991", "13/1/90", "1991-13-01", "1/1/90"])
+    # the last four in Arabic-Indic or fullwidth digits, Unicode decimals that \d took
+    @pytest.mark.parametrize("token", [
+        "", "Q1-1991", "13/1/90", "1991-13-01", "1/1/90",
+        "\u0661\u0669\u0669\u0661Q1", "\u0661\u0669\u0669\u0661-01-01", "1991-01-1\u0661",
+        "\uff11\uff19\uff19\uff11Q1",
+    ])
     def test_rejected_tokens(self, token):
         with pytest.raises(IngestError, match="cannot parse date token"):
             parse_quarterly_csv(f"date,x\n{token},1.0\n")
@@ -763,10 +768,10 @@ class TestOneVintage:
 # The row-by-row decoder that the bulk one replaced, kept as the oracle of the
 # error contract: the first fault in row order and, within a row, cell count,
 # then date, then order, then value. It carries the rules added since: an ISO
-# day must be 01-31, and a value must be a string or a number in float range,
-# not a boolean.
-_REF_ISO_RE = re.compile(r"^(\d{4})-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])$")
-_REF_QUARTER_RE = re.compile(r"^(\d{4})[-: ]?Q([1-4])$", re.IGNORECASE)
+# day must be 01-31, a year is ASCII digits, and a value must be a string or a
+# number in float range, not a boolean.
+_REF_ISO_RE = re.compile(r"^([0-9]{4})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])$")
+_REF_QUARTER_RE = re.compile(r"^([0-9]{4})[-: ]?Q([1-4])$", re.IGNORECASE)
 
 
 def _reference_index(token):
@@ -842,14 +847,15 @@ _PADDING = st.sampled_from(["", "", "", " ", "\t", "\u00a0", "\u3000", "\x1c"])
 def _date_token(draw, index, bad):
     year, q = divmod(index, 4)
     y = str(year)
-    if draw(st.integers(0, 9)) == 0:
-        # the year in Arabic-Indic digits, which \d and int() accept
-        y = y.translate(str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A)))))
     month = 3 * q + draw(st.integers(1, 3))
     if bad:
+        # the year in Arabic-Indic digits, which int() accepts but the
+        # ASCII-digit date grammar does not
+        z = y.translate(str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A)))))
         token = draw(st.sampled_from([
             f"{y}-{month:02d}-00", f"{y}-{month:02d}-32", f"{y}-{month:02d}-99",
             f"{y}-13-01", f"{y}-{month}-01", f"{y}Q5", f"Q{q + 1}-{y}", f"{y}QQ1", "", "n/a",
+            f"{z}Q{q + 1}", f"{z}-{month:02d}-01",
         ]))
     else:
         day = draw(st.sampled_from(["01", "09", "15", "28", "30", "31"]))

@@ -36,6 +36,9 @@ class TestTermParsing:
     def test_malformed(self):
         with pytest.raises(ConfigError):
             Term.parse("s(+1)")
+        # an Arabic-Indic one is a Unicode decimal, which \d read as lag 1
+        with pytest.raises(ConfigError, match="cannot parse term"):
+            Term.parse("inflation_gap(-\u0661)")
 
     def test_lagged_constant_rejected(self):
         with pytest.raises(ConfigError, match="constant takes no lag"):

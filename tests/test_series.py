@@ -81,7 +81,12 @@ class TestQuarter:
     def test_parse_forms(self, text, quarter):
         assert Quarter.parse(text) == Quarter(*quarter)
 
-    @pytest.mark.parametrize("text", ["1991-01-01", "1991Q0", "91Q1", "1991/Q1", "1991QQ1", ""])
+    # Arabic-Indic and fullwidth digits are Unicode decimals, which \d took;
+    # None raised a raw AttributeError and bytes a raw TypeError
+    @pytest.mark.parametrize("text", [
+        "1991-01-01", "1991Q0", "91Q1", "1991/Q1", "1991QQ1", "",
+        "\u0661\u0669\u0669\u0661Q1", "\uff11\uff19\uff19\uff11Q1", None, b"1991Q1", 1991,
+    ])
     def test_parse_rejects(self, text):
         with pytest.raises(DomainError, match=f"^cannot parse quarter {re.escape(repr(text))}$"):
             Quarter.parse(text)
@@ -101,10 +106,14 @@ class TestQuarter:
 
 
 class TestSeriesValues:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, (math.nan, -math.inf),
+    ], ids=["nan", "inf", "-inf", "nan-then-inf"])
     def test_non_finite_value_names_quarter(self, bad):
-        with pytest.raises(DomainError, match="1990Q3"):
-            Series("x", Quarter(1990, 1), (1.0, 2.0, bad, 4.0))
+        # of two non-finite values, the first is named
+        values = (1.0, 2.0) + (bad if isinstance(bad, tuple) else (bad, 4.0))
+        with pytest.raises(DomainError, match="^series 'x' has non-finite value at 1990Q3$"):
+            Series("x", Quarter(1990, 1), values)
 
     def test_empty_series_raises(self):
         with pytest.raises(SampleError, match="at least one value"):
@@ -198,6 +207,10 @@ class TestNaturalLog:
     def test_nonpositive_names_quarter(self):
         s = Series("x", Quarter(1990, 1), (1.0, -2.0))
         with pytest.raises(DomainError, match="1990Q2"):
+            natural_log(s)
+        # of two non-positive values, the first is named
+        s = Series("x", Quarter(1990, 1), (1.0, 2.0, 0.0, -3.0))
+        with pytest.raises(DomainError, match=r"^log of series 'x' undefined at 1990Q3: value 0\.0$"):
             natural_log(s)
 
     def test_log_exp_roundtrip(self):
