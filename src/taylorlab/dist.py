@@ -12,7 +12,6 @@ infinite statistic has an upper tail of 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import DomainError
@@ -27,29 +26,6 @@ _MAX_ITER = 1000
 def _check_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:  # NaN fails too
         raise DomainError(f"{name} must be positive and finite, got {value}")
-
-
-def _continued_fraction(b0: float, terms) -> float:
-    """b0 + a1/(b1 + a2/(b2 + ...)) by the modified Lentz method.
-
-    ``terms`` yields the (a_n, b_n) pairs. Raises DomainError when the
-    fraction has not converged after _MAX_ITER terms.
-    """
-    h = c = b0 if b0 != 0.0 else _TINY
-    d = 0.0
-    for a, b in itertools.islice(terms, _MAX_ITER):
-        d = b + a * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + a / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise DomainError(f"continued fraction did not converge in {_MAX_ITER} terms")
 
 
 def _gamma_p_series(a: float, x: float) -> float:
@@ -71,14 +47,23 @@ def _gamma_p_series(a: float, x: float) -> float:
 
 def _gamma_q_cf(a: float, x: float) -> float:
     # Continued fraction of the upper regularized Q(a, x) without its
-    # prefactor: 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ...))).
-    def terms():
-        b = x + 1.0 - a
-        for i in itertools.count(1):
-            b += 2.0
-            yield -i * (i - a), b
-
-    return 1.0 / _continued_fraction(x + 1.0 - a, terms())
+    # prefactor, 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ...))), by the
+    # modified Lentz method.
+    b = x + 1.0 - a
+    h = c = b if b != 0.0 else _TINY
+    d = 0.0
+    for i in range(1, _MAX_ITER + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = b + an * d
+        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        c = b + an / c
+        c = _TINY if abs(c) < _TINY else c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return 1.0 / h
+    raise DomainError(f"continued fraction did not converge in {_MAX_ITER} terms")
 
 
 def regularized_gamma_q(a: float, x: float) -> float:
@@ -98,17 +83,37 @@ def regularized_gamma_q(a: float, x: float) -> float:
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta: 1/(1 + d1/(1 + d2/(1 + ...)))
+    # Continued fraction for the incomplete beta, 1/(1 + d1/(1 + d2/(1 + ...)))
     # with d_{2m+1} = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1)) and
-    # d_{2m} = m(b-m)x / ((a+2m-1)(a+2m)).
-    def terms():
-        yield -(a + b) * x / (a + 1.0), 1.0
-        for m in itertools.count(1):
-            a2m = a + 2 * m
-            yield m * (b - m) * x / ((a2m - 1.0) * a2m), 1.0
-            yield -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0)), 1.0
-
-    return 1.0 / _continued_fraction(1.0, terms())
+    # d_{2m} = m(b-m)x / ((a+2m-1)(a+2m)), by modified Lentz. As in Numerical
+    # Recipes' betacf, pass m takes d_{2m-1} and then, within the cap, d_{2m}.
+    h = c = 1.0
+    d = 0.0
+    an = -(a + b) * x / (a + 1.0)
+    half = _MAX_ITER // 2
+    for m in range(1, (_MAX_ITER + 1) // 2 + 1):
+        d = 1.0 + an * d
+        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        c = 1.0 + an / c
+        c = _TINY if abs(c) < _TINY else c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return 1.0 / h
+        if m > half:
+            break
+        a2m = a + 2 * m
+        an = m * (b - m) * x / ((a2m - 1.0) * a2m)
+        d = 1.0 + an * d
+        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        c = 1.0 + an / c
+        c = _TINY if abs(c) < _TINY else c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return 1.0 / h
+        an = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
+    raise DomainError(f"continued fraction did not converge in {_MAX_ITER} terms")
 
 
 def regularized_beta(a: float, b: float, x: float) -> float:

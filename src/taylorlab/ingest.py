@@ -39,12 +39,26 @@ _HEAD_RE = re.compile(rb" ".join([rb"(\d{1,20})"] * len(CORE_SERIES)) + rb"\n")
 
 
 def _is_number(cell) -> bool:
-    """Whether a cell converts with ``float``; a JSON boolean does not count."""
+    """Whether a cell converts with ``float`` and, if text, is ASCII with no
+    ``_`` once stripped of the blanks around it; a JSON boolean does not count."""
     try:
         float(cell)
     except (TypeError, ValueError, OverflowError):
         return False
+    if cell.__class__ is str:
+        cell = cell.strip()
+        return cell.isascii() and "_" not in cell
     return cell.__class__ is not bool
+
+
+def _plain(flat: list) -> bool:
+    """Whether every cell's text, blanks included, is ASCII with no ``_``:
+    a screen for ``_is_number``'s text rule, one pass over all cells."""
+    try:
+        text = "".join(flat)
+    except TypeError:  # JSON numbers, whose text is ASCII, among the cells
+        text = "".join(map(str, flat))
+    return text.isascii() and "_" not in text
 
 
 def _dates(tokens: list) -> tuple[list[int], int, str | None]:
@@ -93,12 +107,15 @@ def _decode(
         numeric = bool not in map(type, flat)
     except (TypeError, ValueError, OverflowError):
         numeric = False
-    if not numeric:
-        j = next(j for j, cell in enumerate(flat) if not _is_number(cell))
-        row, col = divmod(j, k)
-        raise IngestError(
-            f"{source}, row {numbers[row]}, column {names[col]!r}: unparsable cell {flat[j]!r}"
-        )
+    if not (numeric and _plain(flat)):
+        # the screen also fails a good cell with non-ASCII blanks around it
+        bad = [j for j, cell in enumerate(flat) if not _is_number(cell)]
+        if bad:
+            row, col = divmod(bad[0], k)
+            raise IngestError(
+                f"{source}, row {numbers[row]}, column {names[col]!r}: "
+                f"unparsable cell {flat[bad[0]]!r}"
+            )
     if fault:
         raise IngestError(f"{source}, row {numbers[end]}: {fault}")
     if not end:

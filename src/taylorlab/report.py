@@ -121,10 +121,14 @@ def to_dict(result) -> dict:
     raise ConfigError(f"cannot render object of type {type(result).__name__}")
 
 
+# what json.dumps(..., sort_keys=True, allow_nan=False) builds on every call
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def render_table(result, fmt: str = "text") -> str:
     """Render a fit, GMM fit or test report as text or JSON."""
     if fmt == "json":
-        return json.dumps(to_dict(result), sort_keys=True, allow_nan=False)
+        return _JSON.encode(to_dict(result))
     if fmt != "text":
         raise ConfigError(f"unknown output format {fmt!r}")
 
@@ -204,8 +208,9 @@ def load_golden(table_id: int) -> GoldenTable:
     """Load a shipped golden table by id (1..17)."""
     path = os.path.join(os.path.dirname(__file__), "golden", f"table{table_id:02d}.json")
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        # the files are ASCII, which json.loads reads as bytes with no text decoder
+        with open(path, "rb") as fh:
+            payload = json.loads(fh.read())
     except FileNotFoundError:
         raise ConfigError(f"no golden table with id {table_id}") from None
     cells = {

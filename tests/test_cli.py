@@ -182,6 +182,14 @@ class TestFit:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_non_ascii_digits_in_csv_value_is_error(self, capsys, tmp_path):
+        p = tmp_path / "digits.csv"
+        p.write_text("date,a\n2000-Q1,١٥\n2000-Q2,1.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--csv", str(p), "--reg", "a")
+        assert code == 2
+        assert out == ""
+        assert err == "error: CSV, row 2, column 'a': unparsable cell '١٥'\n"
+
     def test_oversized_csv_field_is_error(self, capsys, tmp_path):
         p = tmp_path / "big.csv"
         p.write_text("date,a\n2000-Q1," + "1" * 200_000 + "\n")

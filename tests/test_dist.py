@@ -1,10 +1,13 @@
 import itertools
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylorlab import dist
 from taylorlab.errors import DomainError
@@ -212,13 +215,131 @@ class TestNormalCdf:
             )
 
 
-class TestContinuedFraction:
-    def test_matches_closed_form(self):
-        # 1 + 1/(1 + 1/(1 + ...)) is the golden ratio
-        got = dist._continued_fraction(1.0, itertools.repeat((1.0, 1.0)))
-        assert got == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
+# The generic modified-Lentz loop and the term generators that the flat
+# fractions in dist replaced, kept as their reference. Only the cap is read
+# from dist at each call, so that a test can lower it for both.
+def _continued_fraction(b0: float, terms) -> float:
+    """b0 + a1/(b1 + a2/(b2 + ...)) by the modified Lentz method.
 
-    def test_unconverged_fraction_raises(self):
-        # the convergents of 1 - 1/(1 - 1/(1 - ...)) cycle with period three
-        with pytest.raises(DomainError, match="did not converge"):
-            dist._continued_fraction(1.0, itertools.repeat((-1.0, 1.0)))
+    ``terms`` yields the (a_n, b_n) pairs. Raises DomainError when the
+    fraction has not converged after _MAX_ITER terms.
+    """
+    _MAX_ITER, _TINY, _EPS = dist._MAX_ITER, dist._TINY, dist._EPS
+    h = c = b0 if b0 != 0.0 else _TINY
+    d = 0.0
+    for a, b in itertools.islice(terms, _MAX_ITER):
+        d = b + a * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = b + a / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            return h
+    raise DomainError(f"continued fraction did not converge in {_MAX_ITER} terms")
+
+
+def _gamma_q_cf(a: float, x: float) -> float:
+    def terms():
+        b = x + 1.0 - a
+        for i in itertools.count(1):
+            b += 2.0
+            yield -i * (i - a), b
+
+    return 1.0 / _continued_fraction(x + 1.0 - a, terms())
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    def terms():
+        yield -(a + b) * x / (a + 1.0), 1.0
+        for m in itertools.count(1):
+            a2m = a + 2 * m
+            yield m * (b - m) * x / ((a2m - 1.0) * a2m), 1.0
+            yield -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0)), 1.0
+
+    return 1.0 / _continued_fraction(1.0, terms())
+
+
+def _bits(fn, *args):
+    """The bits of ``fn(*args)``, or the message of the DomainError it raises."""
+    try:
+        return fn(*args).hex()
+    except DomainError as exc:
+        return str(exc)
+
+
+def _both(fn, *args):
+    """``_bits`` of ``fn(*args)`` with dist's fractions, then with the reference's."""
+    flat = _bits(fn, *args)
+    with unittest.mock.patch.multiple(dist, _gamma_q_cf=_gamma_q_cf, _beta_cf=_beta_cf):
+        return flat, _bits(fn, *args)
+
+
+_SHAPE = st.floats(0.01, 2.0) | st.floats(0.5, 500.0) | st.integers(1, 400).map(lambda n: n / 2)
+
+
+@st.composite
+def _beta_args(draw):
+    """(a, b, x) with x below the symmetry switch (a + 1)/(a + b + 2), so that
+    the fraction runs on (a, b, x), or above it, so that it runs on (b, a, 1 - x)."""
+    a, b = draw(_SHAPE), draw(_SHAPE)
+    switch = (a + 1.0) / (a + b + 2.0)
+    u = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return a, b, switch * u if draw(st.booleans()) else switch + (1.0 - switch) * u
+
+
+@st.composite
+def _gamma_args(draw):
+    """(a, x) with x >= a + 1, where Q(a, x) is the continued fraction."""
+    a = draw(_SHAPE)
+    return a, a + 1.0 + draw(st.floats(0.0, 2000.0))
+
+
+class TestFlatFractions:
+    """dist's flat modified-Lentz loops against the generic loop they
+    replaced: the same bits, or the same error."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(args=_beta_args())
+    def test_beta_matches_reference(self, args):
+        flat, reference = _both(dist.regularized_beta, *args)
+        assert flat == reference
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(args=_gamma_args())
+    def test_gamma_q_matches_reference(self, args):
+        flat, reference = _both(dist.regularized_gamma_q, *args)
+        assert flat == reference
+
+    def test_same_values_and_raises_under_lower_caps(self, monkeypatch):
+        # each cap from 0 to 25 terms, odd and even, on 150 draws per fraction
+        raised = {"beta": [], "gamma": []}
+        for cap in range(26):
+            monkeypatch.setattr(dist, "_MAX_ITER", cap)
+            message = f"continued fraction did not converge in {cap} terms"
+            rng = np.random.default_rng(cap)
+            for kind in ("beta", "gamma"):
+                count = 0
+                for _ in range(150):
+                    a, b = rng.uniform(0.2, 40.0, size=2)
+                    x = float(rng.uniform(0.0, 1.0))
+                    if kind == "beta":
+                        flat, reference = _both(dist.regularized_beta, a, b, x)
+                    else:
+                        flat, reference = _both(dist.regularized_gamma_q, a, a + 1.0 + 20.0 * x)
+                    assert flat == reference, (cap, kind, a, b, x)
+                    count += flat == message
+                raised[kind].append(count)
+        for counts in raised.values():
+            assert counts[:6] == [150] * 6  # no draw converges in 5 terms
+            assert all(0 < n < 150 for n in counts[10:20])  # some converge at these caps
+
+    def test_unconverged_fractions_raise(self):
+        message = "^continued fraction did not converge in 1000 terms$"
+        with pytest.raises(DomainError, match=message):
+            dist.regularized_beta(1e6, 1e6, 0.5)
+        with pytest.raises(DomainError, match=message):
+            dist.regularized_gamma_q(1e7, 1e7 + 1.0)

@@ -179,6 +179,30 @@ class TestSingularMomentCov:
             assert np.isfinite(moment_root(Z, e, HacConfig(m))).all()
 
     @pytest.mark.parametrize("cfg", [None, HacConfig()], ids=["classical", "hac"])
+    def test_near_collinear_instruments_raise(self, cfg):
+        # z2 = z1 + 3e-8 |z1| w with w a unit vector orthogonal to z1: the
+        # scaled S is positive definite but its reciprocal condition number
+        # is below k * eps, so only the rcond test, not a sign test, rejects it
+        rng = np.random.default_rng(0)
+        T = 60
+        z1 = rng.normal(size=T)
+        w = rng.normal(size=T)
+        w -= (w @ z1) / (z1 @ z1) * z1
+        w /= np.linalg.norm(w)
+        Z = np.column_stack([z1, z1 + 3e-8 * np.linalg.norm(z1) * w])
+        e = rng.normal(size=T)
+        ee = float(e @ e)  # the scaled S as moment_root forms it
+        if cfg is None:
+            S = ee / T * (Z.T @ Z) / T
+        else:
+            S = long_run_cov(Z * e[:, None], default_bandwidth(T))
+        scale = np.sqrt(np.einsum("ij,ij->j", Z, Z) * ee) / T
+        lam = np.linalg.eigh(S / (scale[:, None] * scale))[0]
+        assert 0 < lam[0] <= 2 * np.finfo(float).eps * lam[-1]
+        with pytest.raises(CollinearityError, match="linearly dependent up to rounding$"):
+            moment_root(Z, e, cfg)
+
+    @pytest.mark.parametrize("cfg", [None, HacConfig()], ids=["classical", "hac"])
     def test_zero_instrument_raises(self, cfg):
         Z, e = self._moments(1.0)
         Z[:, 1] = 0.0

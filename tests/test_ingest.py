@@ -121,6 +121,21 @@ class TestCsvErrors:
         with pytest.raises(IngestError, match="row 3.*'x'"):
             parse_quarterly_csv(text)
 
+    @pytest.mark.parametrize("cell", ["١٥", "２", "٣.5", "1_000", " ١٥ "])
+    def test_non_ascii_or_underscored_value_is_unparsable(self, cell):
+        # float() reads each of these; the value rule takes ASCII text only
+        text = f"date,x\n1991Q1,1.5\n1991Q2,{cell}\n1991Q3,2\n"
+        with pytest.raises(IngestError, match=f"^CSV, row 3, column 'x': unparsable cell '{cell}'$"):
+            parse_quarterly_csv(text)
+
+    def test_first_non_ascii_value_is_named(self):
+        with pytest.raises(IngestError, match="^CSV, row 2, column 'x': unparsable cell '١٥'$"):
+            parse_quarterly_csv("date,x\n1991Q1,١٥\n1991Q2,２\n")
+
+    def test_non_ascii_blanks_around_a_value_are_kept(self):
+        text = "date,x,y\n1991Q1,\u3000 1.5\u00a0,2\n1991Q2,\u2003-3e2,4\n"
+        assert parse_quarterly_csv(text).series["x"].values.tolist() == [1.5, -300.0]
+
     def test_non_utf8_bytes(self):
         with pytest.raises(IngestError, match="UTF-8"):
             parse_quarterly_csv(b"date,x\n1990-Q1,1.0\xff\n")
@@ -304,8 +319,14 @@ class TestFredDecoding:
             ),
             (_observations(), "no observations"),
             (_observations(("1990-01-01", ".")), "unparsable cell '.'"),
+            # float() reads these four; a value is ASCII with no "_"
+            (_observations(("1990-01-01", 1.5), ("1990-04-01", "١٥")), "row 2.*cell '١٥'$"),
+            (_observations(("1990-01-01", "２")), "unparsable cell '２'$"),
+            (_observations(("1990-01-01", "٣.5")), "unparsable cell '٣.5'$"),
+            (_observations(("1990-01-01", "1_000")), "unparsable cell '1_000'$"),
         ],
-        ids=["out-of-order", "repeated-date", "empty", "missing-value"],
+        ids=["out-of-order", "repeated-date", "empty", "missing-value", "arabic-indic-digits",
+             "fullwidth-digit", "arabic-indic-decimal", "underscore"],
     )
     def test_rejected_payload_names_the_series(self, tmp_path, monkeypatch, raw, message):
         monkeypatch.setenv("FRED_API_KEY", "k123")
@@ -769,7 +790,8 @@ class TestOneVintage:
 # error contract: the first fault in row order and, within a row, cell count,
 # then date, then order, then value. It carries the rules added since: an ISO
 # day must be 01-31, a year is ASCII digits, and a value must be a string or a
-# number in float range, not a boolean.
+# number in float range, not a boolean, and a string value stripped of its
+# blanks must be ASCII with no "_".
 _REF_ISO_RE = re.compile(r"^([0-9]{4})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])$")
 _REF_QUARTER_RE = re.compile(r"^([0-9]{4})[-: ]?Q([1-4])$", re.IGNORECASE)
 
@@ -802,7 +824,12 @@ def _reference_decode(rows, names, source):
             try:
                 if isinstance(cell, bool):
                     raise TypeError
-                columns[col].append(float(cell))
+                value = float(cell)
+                if isinstance(cell, str) and not (
+                    cell.strip().isascii() and "_" not in cell.strip()
+                ):
+                    raise ValueError
+                columns[col].append(value)
             except (TypeError, ValueError, OverflowError):
                 raise IngestError(
                     f"{source}, row {n}, column {names[col]!r}: unparsable cell {cell!r}"
@@ -866,13 +893,20 @@ def _date_token(draw, index, bad):
     return draw(_PADDING) + token + draw(_PADDING)
 
 
+_VALUE_PADDING = st.sampled_from(["", " ", "\u00a0", "\u3000", "\u2003"])
 _GOOD_NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.floats(-1e6, 1e6).map(lambda v: f" {v:.3f} "),
+    # Unicode blanks, which float() and the value rule take around an ASCII
+    # number (float() takes no "\x1c", an ASCII character)
+    st.tuples(_VALUE_PADDING, st.integers(-10**6, 10**6).map(str), _VALUE_PADDING).map("".join),
 )
 _GOOD_JSON_VALUE = _GOOD_NUMBER | st.floats(allow_nan=False, allow_infinity=False)
-_BAD_CELL = st.sampled_from([".", "", "abc", "1..2", "1,5", "nan", "inf", "-Infinity"])
+# the last four are cells float() reads: Arabic-Indic and fullwidth digits, an underscore
+_BAD_CELL = st.sampled_from([
+    ".", "", "abc", "1..2", "1,5", "nan", "inf", "-Infinity", "١٥", "２", "٣.5", "1_000",
+])
 _BAD_JSON_VALUE = st.sampled_from([True, False, None, [], {}, 10**400])
 
 

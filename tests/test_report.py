@@ -1,8 +1,11 @@
+import codecs
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from taylorlab import report
 from taylorlab.diagnostics import jarque_bera_test, wald_test
 from taylorlab.errors import ConfigError
 from taylorlab.gmm import GmmSpec, fit_linear_gmm
@@ -125,9 +128,24 @@ class TestGoldenTables:
             assert g.table_id == tid
             assert g.cells
 
+    @pytest.mark.parametrize("tid", range(1, 18))
+    def test_read_as_bytes_as_in_text_mode(self, tid):
+        # load_golden hands json.loads the file's bytes: for ASCII without a
+        # byte-order mark that is the parse of its UTF-8 text
+        path = Path(report.__file__).parent / "golden" / f"table{tid:02d}.json"
+        raw = path.read_bytes()
+        assert raw.isascii() and not raw.startswith(codecs.BOM_UTF8)
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        g = load_golden(tid)
+        assert g.table_id == payload["table_id"] == tid
+        cells = {label: (c.expected, c.abs_tol, c.rel_tol) for label, c in g.cells.items()}
+        assert list(cells.items()) == [(label, tuple(v)) for label, v in payload["cells"].items()]
+
     def test_unknown_id_rejected(self):
-        with pytest.raises(ConfigError):
-            load_golden(18)
+        for tid in (0, 18):
+            with pytest.raises(ConfigError, match=f"^no golden table with id {tid}$"):
+                load_golden(tid)
 
     def test_cell_needs_a_tolerance(self):
         with pytest.raises(ConfigError):
