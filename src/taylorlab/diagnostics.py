@@ -9,10 +9,10 @@ import math
 import numpy as np
 
 from . import dist
-from .errors import ConfigError, DomainError, SampleError
+from .errors import CollinearityError, ConfigError, DomainError, SampleError
 from .ols import (
-    CONST, FitResult, RegressionSpec, build_design, nested_f, reject_exact_fit,
-    reject_unidentified, solve_ols,
+    _EXACT_FIT, CONST, FitResult, RegressionSpec, _column_peaks, _exact_fit, build_design,
+    nested_f, reject_exact_fit, reject_unidentified, solve_ols,
 )
 from .records import Record, is_integer
 from .series import Dataset, Quarter, Series
@@ -94,11 +94,13 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     The pre-break regime ends the quarter before ``break_at``; the second
     regime starts at ``break_at``. The pooled model and each regime, its
     rows of the pooled design followed by zero rows up to T, are solved as
-    one stack for their SSRs alone. The pooled model's errors come first; a
-    regime too small to identify the model, or that is an exact fit,
-    raises naming its quarters. The statistics are built from SSRs, so
-    ``spec.covariance`` plays no part. Reports F (``nested_f`` of the pooled
-    SSR against ssr1 + ssr2), the likelihood ratio, and the Wald form k*F.
+    one stack for their SSRs alone: the residuals and fitted-term sizes of
+    all three are one pass over the stack each. The pooled model's errors
+    come first; a regime too small to identify the model, or that is an
+    exact fit, raises naming its quarters. The statistics are built from
+    SSRs, so ``spec.covariance`` plays no part. Reports F (``nested_f`` of
+    the pooled SSR against ssr1 + ssr2), the likelihood ratio, and the Wald
+    form k*F.
     """
     y, X, (start, end) = build_design(d, spec)
     T, k = X.shape
@@ -106,21 +108,29 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     if not (start < break_at <= end):
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
     n1 = break_at - start
-    systems = (
-        (slice(None), ""),
-        (slice(None, n1), f" over the regime {start}..{break_at.offset(-1)}"),
-        (slice(n1, None), f" over the regime {break_at}..{end}"),
-    )
+    sizes = (T, n1, T - n1)  # of the pooled model and the two regimes
+
+    def where(i):  # the quarters of system i, formatted only to raise
+        if i == 0:
+            return ""
+        first, last = (start, break_at.offset(-1)) if i == 1 else (break_at, end)
+        return f" over the regime {first}..{last}"
+
+    for i in (1, 2):
+        if sizes[i] <= k:
+            reject_unidentified(sizes[i], k, where(i))
     Xs, ys = np.zeros((3, T, k)), np.zeros((3, T))
-    for i, (rows, where) in enumerate(systems):
-        n = len(y[rows])
-        reject_unidentified(n, k, where)
-        Xs[i, :n], ys[i, :n] = X[rows], y[rows]
-    ssrs = []
-    for (rows, where), beta in zip(systems, solve_ols(Xs, ys, [t.label for t in spec.regressors])):
-        e = y[rows] - X[rows] @ beta
-        ssrs.append(float(e @ e))
-        reject_exact_fit(ssrs[-1], X[rows], beta, where)
+    Xs[0], Xs[1, :n1], Xs[2, : T - n1] = X, X[:n1], X[n1:]
+    ys[0], ys[1, :n1], ys[2, : T - n1] = y, y[:n1], y[n1:]
+    B = solve_ols(Xs, ys, [t.label for t in spec.regressors])[..., None]
+    # zero on the padding rows; the products over each system's own rows
+    # are those of its fit alone
+    fs = (np.abs(Xs) @ np.abs(B))[..., 0]
+    es = ys - (Xs @ B)[..., 0]
+    ssrs = [float(e[:n] @ e[:n]) for e, n in zip(es, sizes)]
+    for i, (f, n) in enumerate(zip(fs, sizes)):
+        if _exact_fit(ssrs[i], float(f[:n] @ f[:n]), n):
+            raise CollinearityError(_EXACT_FIT + where(i))
     ssr, ssr1, ssr2 = ssrs
     F = nested_f(ssr, ssr1 + ssr2, k, T - 2 * k)
     # 2 (ll1 + ll2 - ll) with the constants cancelled: ratios of variances,
@@ -189,7 +199,7 @@ def white_test(fit: FitResult) -> TestReport:
     # drop duplicated columns (e.g. a dummy equal to its own square), each
     # divided by its largest |x|, so that the rule, absolute term included,
     # is unit-free; a zero column (two disjoint dummies' product) stays zero
-    peak = np.abs(Xa).max(axis=0)
+    peak = _column_peaks(Xa)
     keep = _distinct_columns(Xa / np.where(peak > 0, peak, 1.0))
     if len(keep) < 2:
         raise DomainError("White test needs an auxiliary column besides the constant")

@@ -6,8 +6,9 @@ continued fractions elsewhere. Target absolute accuracy is 1e-10 or
 better over the df ranges used here. A series or fraction that has not
 converged within its term cap raises DomainError instead of returning a
 partial sum. A df or shape parameter that is not positive and finite, or a
-NaN argument, raises DomainError before any series or fraction runs; an
-infinite statistic has an upper tail of 0.
+NaN argument, raises DomainError before any series or fraction runs, as
+does a parameter whose log-gamma overflows; an infinite statistic has an
+upper tail of 0.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ _MAX_ITER = 1000
 def _check_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:  # NaN fails too
         raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
+def _lgamma(name: str, value: float) -> float:
+    """``math.lgamma`` of a df or shape parameter; ``DomainError`` naming
+    it when the log-gamma overflows."""
+    try:
+        return math.lgamma(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for its log-gamma, got {value}") from None
 
 
 def _gamma_p_series(a: float, x: float) -> float:
@@ -76,7 +86,7 @@ def regularized_gamma_q(a: float, x: float) -> float:
         return 1.0
     if x == math.inf:
         return 0.0
-    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    front = math.exp(-x + a * math.log(x) - _lgamma("shape parameter", a))
     if x < a + 1.0:
         return 1.0 - front * _gamma_p_series(a, x)
     return front * _gamma_q_cf(a, x)
@@ -126,7 +136,8 @@ def regularized_beta(a: float, b: float, x: float) -> float:
     if x == 0.0 or x == 1.0:
         return x
     front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        _lgamma("beta parameter sum a + b", a + b) - _lgamma("beta parameter a", a)
+        - _lgamma("beta parameter b", b)
         + a * math.log(x) + b * math.log1p(-x)
     )
     # Symmetry switch keeps the continued fraction in its fast region.

@@ -61,10 +61,39 @@ def _plain(flat: list) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _calendar(first: re.Match, n: int) -> tuple[int, list[str]]:
+    """The quarter index of date token match ``first``, and the n consecutive
+    quarters from it spelled as its token is: the same blanks and, for a
+    quarter, separator and ``Q`` or ``q``, or for an ISO date the same month
+    of each quarter and day. The list is empty when a year falls outside
+    1000-9999, whose 4-digit spellings have no leading zero."""
+    token, (y, month, qy, q) = first.string, first.groups()
+    if y:
+        a = first.start(1)
+        tails = [f"-{m:02d}{token[a + 7:]}" for m in range((int(month) - 1) % 3 + 1, 13, 3)]
+    else:
+        a, b = first.start(3), first.start(4)
+        tails = [f"{token[a + 4:b]}{j}{token[b + 1:]}" for j in "1234"]
+    i0 = int(y or qy) * 4 + _QUARTER_OF[month or q]
+    y0, y1 = i0 // 4, (i0 + n - 1) // 4
+    if not 1000 <= y0 <= y1 <= 9999:
+        return i0, []
+    heads = [f"{token[:a]}{year}" for year in range(y0, y1 + 1)]
+    return i0, [h + t for h in heads for t in tails][i0 % 4 : i0 % 4 + n]
+
+
 def _dates(tokens: list) -> tuple[list[int], int, str | None]:
     """The date stage of ``_decode``: the quarter index of each row before the
     first date or order fault, that row (``len(tokens)`` if none) and the
-    fault's text (``None`` if none), which names no source or row number."""
+    fault's text (``None`` if none), which names no source or row number.
+    Tokens equal to the ``_calendar`` of the first are consecutive quarters
+    with no fault, found in one comparison; any others are matched one by
+    one."""
+    first = _DATE_RE.fullmatch(tokens[0]) if tokens else None
+    if first:
+        i0, calendar = _calendar(first, len(tokens))
+        if tokens == calendar:
+            return list(range(i0, i0 + len(tokens))), len(tokens), None
     end, fault = len(tokens), None
     matches = list(map(_DATE_RE.fullmatch, tokens))
     if None in matches:

@@ -101,18 +101,14 @@ def run_tables(table_ids, d) -> list:
             raise ConfigError(
                 f"table {table_id} belongs to {country!r}, got dataset {d.country!r}"
             )
-    done = {}
-
-    def result(name):
-        if name not in done:
-            if name in TESTS:
-                model, test = TESTS[name]
-                done[name] = test(result(model))
-            else:
-                done[name] = MODELS[name](d)
-        return done[name]
-
-    return [result(PLAN[table_id - 1]) for table_id in table_ids]
+    done = {}  # filled in a plain loop, so that no reference cycle holds the results
+    for name in (PLAN[table_id - 1] for table_id in table_ids):
+        model, test = TESTS.get(name, (name, None))
+        if model not in done:
+            done[model] = MODELS[model](d)
+        if test and name not in done:
+            done[name] = test(done[model])
+    return [done[PLAN[table_id - 1]] for table_id in table_ids]
 
 
 def run_table(table_id: int, d):

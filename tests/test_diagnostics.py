@@ -15,7 +15,9 @@ from taylorlab.diagnostics import (
     wald_test,
     white_test,
 )
-from taylorlab.errors import CollinearityError, ConfigError, DomainError, SampleError
+from taylorlab.errors import (
+    CollinearityError, ConfigError, DomainError, SampleError, TaylorLabError,
+)
 from taylorlab.hac import HacConfig
 from taylorlab.ols import RegressionSpec, fit_ols
 from taylorlab.series import Dataset, Quarter, Series
@@ -227,6 +229,119 @@ class TestChow:
         d = _toy_dataset({"y": rng.normal(size=20), "x": rng.normal(size=20), "dummy": dummy})
         with pytest.raises(CollinearityError, match="dummy"):
             chow_breakpoint_test(d, RegressionSpec("y", ("x", "dummy")), Quarter(2002, 3))
+
+
+def _chow_by_system(d, spec, break_at):
+    """Chow's F, LR and Wald form with each system fitted alone, in the
+    error order of ``chow_breakpoint_test``: the pooled model, the
+    breakpoint, then each regime's size, every system's rank and each
+    system's exact fit."""
+    y, X, (start, end) = ols.build_design(d, spec)
+    T, k = X.shape
+    ols.reject_unidentified(T, k)
+    if not start < break_at <= end:
+        raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
+    n1 = break_at - start
+    systems = [
+        (slice(None), ""),
+        (slice(None, n1), f" over the regime {start}..{break_at.offset(-1)}"),
+        (slice(n1, None), f" over the regime {break_at}..{end}"),
+    ]
+    for rows, where in systems[1:]:
+        ols.reject_unidentified(len(y[rows]), k, where)
+    labels = [t.label for t in spec.regressors]
+    betas = [ols.solve_ols(X[rows], y[rows], labels) for rows, _ in systems]
+    ssrs = []
+    for (rows, where), beta in zip(systems, betas):
+        e = y[rows] - X[rows] @ beta
+        ssrs.append(float(e @ e))
+        ols.reject_exact_fit(ssrs[-1], X[rows], beta, where)
+    ssr, ssr1, ssr2 = ssrs
+    F = max(ssr - ssr1 - ssr2, 0.0) / k / ((ssr1 + ssr2) / (T - 2 * k))
+    lr = 2.0 * sum(ols.log_likelihood(s, n) for s, n in ((ssr1, n1), (ssr2, T - n1)))
+    lr -= 2.0 * ols.log_likelihood(ssr, T)
+    return F, lr, k * F
+
+
+def _chow_outcome(test, d, spec, break_at):
+    try:
+        return test(d, spec, break_at)
+    except TaylorLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestChowStack:
+    """The stacked Chow test against each system fitted alone, on drawn
+    designs and breaks: the same statistics up to rounding, and the same
+    error, type, text and order, for regimes of the minimum size, rank
+    deficient regimes and regimes that are exact fits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), regs=st.integers(1, 3), constant=st.booleans(),
+        # any break, or one that leaves a regime of k or k + 1 quarters, or
+        # one outside the sample
+        where=st.sampled_from(["any", "any", "any", "k", "k+1", "T-k", "T-k-1", "outside"]),
+        # y an exact fit, or x0 zero, over the pooled sample or a regime
+        fault=st.sampled_from([None, None, None, "exact", "zero"]), system=st.integers(0, 2),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]), short=st.booleans(),
+    )
+    def test_matches_each_system_fitted_alone(
+        self, seed, regs, constant, where, fault, system, scale, short
+    ):
+        rng = np.random.default_rng(seed)
+        # a short sample can leave both regimes too small
+        T, k = int(rng.integers(4, 9) if short else rng.integers(9, 61)), regs + constant
+        at = {
+            "any": int(rng.integers(1, T)), "k": k, "k+1": k + 1, "T-k": T - k,
+            "T-k-1": T - k - 1, "outside": int(rng.choice([-1, 0, T, T + 1])),
+        }[where]
+        names = [f"x{j}" for j in range(regs)]
+        X = scale * rng.normal(size=(T, regs))
+        y = X @ rng.normal(size=regs) + 0.5 + scale * rng.normal(size=T)
+        start = Quarter(2000, 1)
+        rows = [slice(None), slice(None, max(at, 0)), slice(max(at, 0), None)][system]
+        if fault == "exact":
+            y[rows] = X[rows] @ np.arange(1.0, regs + 1) + 0.5 * constant
+        elif fault == "zero":
+            X[rows, 0] = 0.0
+        d = _toy_dataset({"y": y, **dict(zip(names, X.T))}, start)
+        spec = RegressionSpec("y", names, include_constant=constant)
+        break_at = start.offset(at)
+        got = _chow_outcome(chow_breakpoint_test, d, spec, break_at)
+        want = _chow_outcome(_chow_by_system, d, spec, break_at)
+        if isinstance(want[0], str):
+            assert got == want
+        else:
+            stats = tuple(got.stat(form).value for form in ("F", "LR", "chi2"))
+            # F and its Wald form within 1e-9 max(1, |F|) of the reference,
+            # LR within 1e-9 max(T, |LR|)
+            assert stats[0] == pytest.approx(want[0], rel=1e-9, abs=1e-9)
+            assert stats[2] == pytest.approx(want[2], rel=1e-9, abs=1e-9)
+            assert stats[1] == pytest.approx(want[1], rel=1e-9, abs=1e-9 * T)
+
+    @pytest.mark.parametrize("noise", [3, 50])
+    def test_regime_exact_fit_rule_counts_its_own_quarters(self, noise):
+        # the rule SSR <= (eps n)^2 |f|^2 for the n = 6 quarters of regime
+        # one, not the T = 400 of the stack: residuals of norm 3 eps |f| are
+        # an exact fit, of 50 eps |f| are not, as for a fit of those quarters
+        rng = np.random.default_rng(68)
+        x, y = rng.normal(size=400), rng.normal(size=400)
+        f = np.abs(x[:6]) * 2.0 + 1.0
+        z = rng.normal(size=6)
+        z -= np.column_stack([np.ones(6), x[:6]]) @ np.linalg.lstsq(
+            np.column_stack([np.ones(6), x[:6]]), z, rcond=None)[0]
+        y[:6] = 1.0 + 2.0 * x[:6] + noise * np.finfo(float).eps * np.linalg.norm(f) * z / np.linalg.norm(z)
+        d, spec = _toy_dataset({"y": y, "x": x}), RegressionSpec("y", ("x",))
+        alone = RegressionSpec("y", ("x",), sample=(Quarter(2000, 1), Quarter(2001, 2)))
+        if noise == 3:
+            for test in (lambda: fit_ols(d, alone),
+                         lambda: chow_breakpoint_test(d, spec, Quarter(2001, 3))):
+                with pytest.raises(CollinearityError, match="combination of the regressors"):
+                    test()
+        else:
+            assert fit_ols(d, alone).ssr > 0
+            assert np.isfinite(chow_breakpoint_test(d, spec, Quarter(2001, 3)).stat("F").value)
 
 
 def _aux_obs_r2(Xa, y_aux):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import unittest.mock
 
 import numpy as np
@@ -166,6 +167,25 @@ class TestNonFiniteArguments:
 
     def test_gamma_q_of_infinite_argument_is_zero(self):
         assert dist.regularized_gamma_q(2.5, math.inf) == 0.0
+
+
+class TestOverflowingLogGamma:
+    """A finite shape parameter whose log-gamma overflows raises
+    ``DomainError`` naming it, not ``math.lgamma``'s ``OverflowError``."""
+
+    @pytest.mark.parametrize("fn,args,message", [
+        (dist.chi2_sf, (1.0, 1e308), "shape parameter is too large for its log-gamma, got 5e+307"),
+        (dist.regularized_gamma_q, (1e308, 1.0),
+         "shape parameter is too large for its log-gamma, got 1e+308"),
+        (dist.regularized_beta, (1e308, 1e308, 0.5),
+         "beta parameter a is too large for its log-gamma, got 1e+308"),
+        (dist.regularized_beta, (1.0, 1e308, 0.5),
+         "beta parameter sum a + b is too large for its log-gamma, got 1e+308"),
+    ])
+    def test_raises_domain_error_naming_the_parameter(self, fn, args, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            fn(*args)
+
 
 class TestCdfsAgainstQuadrature:
     """Each tail function is checked against adaptive integration of its

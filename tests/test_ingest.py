@@ -9,6 +9,7 @@ import re
 import stat
 import tempfile
 import threading
+import unittest.mock
 import urllib.error
 import urllib.parse
 from pathlib import Path
@@ -1119,3 +1120,106 @@ class TestDateStageCount:
         )
         assert len(calls) == 1
         assert d["c"].values.tolist() == [3.0, 6.0, 9.0]
+
+
+def _per_token(tokens):
+    """``ingest._dates`` with its calendar screen off: every token matched."""
+    with unittest.mock.patch.object(ingest, "_calendar", lambda first, n: (0, [])):
+        return ingest._dates(tokens)
+
+
+class _CountingPattern:
+    """``ingest._DATE_RE`` counting its ``fullmatch`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, token):
+        self.calls += 1
+        return self.pattern.fullmatch(token)
+
+
+@st.composite
+def _spelled_calendar(draw):
+    """Consecutive quarters in one drawn spelling, their first index and the
+    spelling: blanks around each token and, for a quarter, its separator and
+    ``Q`` or ``q``, or for an ISO date its month of the quarter and day. The
+    years reach below 1000, written with leading zeros, and past 9999."""
+    i0 = draw(st.one_of(
+        st.integers(1947 * 4, 2025 * 4), st.integers(998 * 4, 1001 * 4), st.integers(0, 12),
+        st.integers(9990 * 4, 9999 * 4 + 3),
+    ))
+    lead, trail = draw(_PADDING), draw(_PADDING)
+    if draw(st.booleans()):
+        mid = draw(st.sampled_from(["", "-", ":", " "])) + draw(st.sampled_from("Qq"))
+
+        def spell(i):
+            return f"{lead}{i // 4:04d}{mid}{i % 4 + 1}{trail}"
+    else:
+        month = draw(st.integers(1, 3))
+        day = draw(st.sampled_from(["01", "09", "10", "19", "28", "29", "30", "31"]))
+
+        def spell(i):
+            return f"{lead}{i // 4:04d}-{3 * (i % 4) + month:02d}-{day}{trail}"
+    n = draw(st.integers(1, 40))
+    return [spell(i) for i in range(i0, i0 + n)], i0, spell
+
+
+class TestCalendarScreen:
+    """``_dates`` finds a calendar in one spelling by one comparison with the
+    calendar that its first token implies, and gives what matching every
+    token gives, faults and their text included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(calendar=_spelled_calendar(),
+           fault=st.sampled_from(["gap", "duplicate", "bad", "respelled", "swap"]),
+           data=st.data())
+    def test_equals_matching_every_token(self, calendar, fault, data):
+        tokens, i0, spell = calendar
+        assert ingest._dates(tokens) == _per_token(tokens)
+        n = len(tokens)
+        if 1000 * 4 <= i0 and i0 + n <= 10000 * 4:
+            counting = _CountingPattern(ingest._DATE_RE)
+            with unittest.mock.patch.object(ingest, "_DATE_RE", counting):
+                assert ingest._dates(tokens) == (list(range(i0, i0 + n)), n, None)
+            assert counting.calls == 1
+        # one perturbed token anywhere
+        p = data.draw(st.integers(0, n - 1))
+        tokens = list(tokens)
+        if fault == "gap":
+            tokens[p:] = [spell(i + 1) for i in range(i0 + p, i0 + n)]
+        elif fault == "duplicate":
+            tokens.insert(p, tokens[p])
+        elif fault == "bad":
+            tokens[p] = data.draw(_date_token(i0 + p, True))
+        elif fault == "respelled":
+            tokens[p] = data.draw(_date_token(i0 + p, False))
+        else:
+            tokens[p - 1], tokens[p] = tokens[p], tokens[p - 1]
+        assert ingest._dates(tokens) == _per_token(tokens)
+
+    @pytest.mark.parametrize("tokens", [
+        [], ["1990Q1"], ["n/a", "1990Q2"], ["10000Q1"], ["9999Q4", "10000Q1"],
+        ["0999Q4", "1000Q1"], ["1990-01-31", "1990-04-31"], ["1990-01-31", "1990-04-30"],
+        ["1990Q1", "1990Q2 "], ["1990Q1", "1990q2"], [" 1990-Q1", "1990-Q2"],
+    ])
+    def test_edges_equal_matching_every_token(self, tokens):
+        assert ingest._dates(tokens) == _per_token(tokens)
+
+    @pytest.mark.parametrize("country", ["us", "uk"])
+    def test_embedded_csv_takes_the_screen(self, country, monkeypatch):
+        counting = _CountingPattern(ingest._DATE_RE)
+        monkeypatch.setattr(ingest, "_DATE_RE", counting)
+        d = embedded_dataset(country)
+        assert counting.calls == 1
+        assert {(s.start, len(s)) for s in d.series.values()} == {(Quarter(1990, 1), 121)}
+
+    def test_iso_fred_column_takes_the_screen(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FRED_API_KEY", "k123")
+        desc = _remote_descriptor(tmp_path)
+        payloads = {role: _payload(start=Quarter(1947, 1), n=316) for role in CORE_SERIES}
+        counting = _CountingPattern(ingest._DATE_RE)
+        monkeypatch.setattr(ingest, "_DATE_RE", counting)
+        d = fetch_series(desc, http_get=_get_by_role(desc, payloads))
+        assert counting.calls == 1  # one date stage for the shared column, one match
+        assert {(s.start, s.end) for s in d.series.values()} == {(Quarter(1947, 1), Quarter(2025, 4))}

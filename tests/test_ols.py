@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
+from taylorlab import ols
 from taylorlab.errors import CollinearityError, ConfigError, SampleError
 from taylorlab.hac import HacConfig
 from taylorlab.report import render_table
@@ -119,6 +121,40 @@ class TestSolveOls:
         X = np.column_stack([np.ones(10), x, 2 * x])
         with pytest.raises(CollinearityError, match="double"):
             solve_ols(X, x, ("C", "x", "double"))
+
+
+class TestUnitScale:
+    """``unit_scale`` and White's column peaks reduce a C-ordered transposed
+    copy; every value, bit for bit, and every shape is that of the max down
+    the strided rows."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=9),
+        seed=st.integers(0, 2**32 - 1), zero=st.integers(0, 8),
+        layout=st.sampled_from(["C", "F", "rows"]),
+    )
+    def test_equals_the_strided_reduction(self, shape, seed, zero, layout):
+        # magnitudes from 1e-300 to 1e300 of either sign, a quarter of the
+        # cells zeros of either sign, and one zero column
+        rng = np.random.default_rng(seed)
+        X = rng.choice([-1.0, 1.0], shape) * rng.uniform(1, 10, shape) * 10.0 ** rng.integers(
+            -300, 300, shape
+        )
+        X[rng.random(shape) < 0.25] = rng.choice([0.0, -0.0])
+        X[..., zero % shape[-1]] = rng.choice([0.0, -0.0])
+        X = {"C": X, "F": np.asfortranarray(X), "rows": X[..., ::2, :]}[layout]
+        strided = np.ldexp(1.0, -np.frexp(np.abs(X).max(axis=-2, keepdims=True))[1])
+        scale = ols.unit_scale(X)
+        assert (scale.shape, scale.dtype) == (strided.shape, strided.dtype)
+        assert scale.tobytes() == strided.tobytes()
+        peaks = ols._column_peaks(X)
+        assert peaks.shape == X.shape[:-2] + X.shape[-1:]
+        assert peaks.tobytes() == np.abs(X).max(axis=-2).tobytes()
+
+    def test_zero_column_scales_by_one(self):
+        X = np.array([[0.0, -3.0], [-0.0, 1e-300]])
+        assert ols.unit_scale(X).tolist() == [[1.0, 0.25]]
 
 
 class TestSummarize:

@@ -3,8 +3,10 @@ the results equal those of ``run_table`` table by table, and a table of the
 wrong country is refused before anything is estimated."""
 
 import contextlib
+import gc
 import io
 import random
+import weakref
 
 import pytest
 
@@ -75,3 +77,20 @@ def test_unknown_table_id_is_refused(us_data, fits):
     with pytest.raises(ConfigError, match="1..17"):
         tables.run_tables([1, 18], us_data)
     assert fits == []
+
+
+@pytest.mark.parametrize("table_id", [1, 6, 9, 12])
+def test_a_result_is_freed_without_the_cycle_collector(us_data, uk_data, table_id):
+    # the call's shared results form no reference cycle, so a result goes
+    # when its last reference does, not at the next collection
+    d = us_data if table_id in tables.US_TABLES else uk_data
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = tables.run_table(table_id, d)
+        alive = weakref.ref(result)
+        del result
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
