@@ -59,19 +59,23 @@ def _gamma_q_cf(a: float, x: float) -> float:
     # Continued fraction of the upper regularized Q(a, x) without its
     # prefactor, 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ...))), by the
     # modified Lentz method.
+    # The guards and the convergence test are chained comparisons between
+    # bounds held in locals, which take the same branches as abs() against
+    # the bound (NaN fails both) without a call.
+    tiny, neg_tiny, eps, neg_eps = _TINY, -_TINY, _EPS, -_EPS
     b = x + 1.0 - a
-    h = c = b if b != 0.0 else _TINY
+    h = c = b if b != 0.0 else tiny
     d = 0.0
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = b + an * d
-        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        d = 1.0 / (tiny if neg_tiny < d < tiny else d)
         c = b + an / c
-        c = _TINY if abs(c) < _TINY else c
+        c = tiny if neg_tiny < c < tiny else c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if neg_eps < delta - 1.0 < eps:
             return 1.0 / h
     raise DomainError(f"continued fraction did not converge in {_MAX_ITER} terms")
 
@@ -97,30 +101,32 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     # with d_{2m+1} = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1)) and
     # d_{2m} = m(b-m)x / ((a+2m-1)(a+2m)), by modified Lentz. As in Numerical
     # Recipes' betacf, pass m takes d_{2m-1} and then, within the cap, d_{2m}.
+    # guards and convergence test as chained comparisons, as in _gamma_q_cf
+    tiny, neg_tiny, eps, neg_eps = _TINY, -_TINY, _EPS, -_EPS
     h = c = 1.0
     d = 0.0
     an = -(a + b) * x / (a + 1.0)
     half = _MAX_ITER // 2
     for m in range(1, (_MAX_ITER + 1) // 2 + 1):
         d = 1.0 + an * d
-        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        d = 1.0 / (tiny if neg_tiny < d < tiny else d)
         c = 1.0 + an / c
-        c = _TINY if abs(c) < _TINY else c
+        c = tiny if neg_tiny < c < tiny else c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if neg_eps < delta - 1.0 < eps:
             return 1.0 / h
         if m > half:
             break
         a2m = a + 2 * m
         an = m * (b - m) * x / ((a2m - 1.0) * a2m)
         d = 1.0 + an * d
-        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        d = 1.0 / (tiny if neg_tiny < d < tiny else d)
         c = 1.0 + an / c
-        c = _TINY if abs(c) < _TINY else c
+        c = tiny if neg_tiny < c < tiny else c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < _EPS:
+        if neg_eps < delta - 1.0 < eps:
             return 1.0 / h
         an = -(a + m) * (a + b + m) * x / (a2m * (a2m + 1.0))
     raise DomainError(f"continued fraction did not converge in {_MAX_ITER} terms")

@@ -176,7 +176,10 @@ def unit_scale(X: np.ndarray) -> np.ndarray:
 def _column_peaks(X: np.ndarray) -> np.ndarray:
     """The largest |x| of each column of a design or a stack of designs,
     reduced along rows of a C-ordered transposed copy: a faster pass than
-    down the strided columns, with the same values, as a max rounds nothing."""
+    down the strided columns, with the same values, as a max rounds nothing.
+    The copy costs more than it saves below about 20 to 60 rows (best of 7:
+    1.7 against 2.5 µs at 5×4), but the only small design solved per request
+    is GMM's 5×4 weighted step, about 1 µs a call, so one path serves all."""
     return np.abs(X.swapaxes(-1, -2), order="C").max(axis=-1)
 
 

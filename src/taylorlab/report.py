@@ -9,7 +9,10 @@ import os
 from .diagnostics import TestReport
 from .errors import ConfigError
 from .ols import Estimate, FitResult
-from .records import Frozen, Record
+from .records import Frozen, Record, TupleRecord, is_integer
+
+# the shipped golden tables' directory, with a trailing separator
+_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "")
 
 
 def _fmt_p(p: float) -> str:
@@ -21,9 +24,10 @@ def _fmt_num(v: float, prob: bool = False) -> str:
     """A number for a 14-wide cell: ``.6f`` when that fits in 13 characters
     and does not round a nonzero value to zero, else 6 significant digits,
     which always fit, so that neighbouring cells stay separate tokens. A
-    probability (``prob``) keeps ``.6f``: tiny p-values print as zero."""
+    probability (``prob``) keeps ``.6f``: tiny p-values print as zero. The
+    text reads as zero exactly when it holds no digit but 0."""
     text = f"{v:.6f}"
-    return text if prob or (len(text) <= 13 and (float(text) or not v)) else f"{v:.6g}"
+    return text if prob or (len(text) <= 13 and (text.strip("-0.") or not v)) else f"{v:.6g}"
 
 
 # The summary block as (field, printed label) rows in print order: shared
@@ -85,15 +89,12 @@ def flatten(result) -> dict:
     raise ConfigError(f"cannot flatten object of type {type(result).__name__}")
 
 
-def _json_number(v: float) -> float | None:
+def to_dict(result) -> dict:
+    """Full-precision structured view for JSON output."""
     # JSON has no NaN or infinity: a value that is undefined (the F statistic
     # of a fit without a constant, the J tail of a just-identified GMM) or
     # that overflows a double is null
-    return v if math.isfinite(v) else None
-
-
-def to_dict(result) -> dict:
-    """Full-precision structured view for JSON output."""
+    isfinite = math.isfinite
     if isinstance(result, Estimate):
         d = {
             "kind": "fit" if isinstance(result, FitResult) else "gmm",
@@ -104,7 +105,7 @@ def to_dict(result) -> dict:
             "t_stats": result.t_stats.tolist(),
             "p_values": result.p_values.tolist(),
         }
-        d.update({k: _json_number(v) for k, v in flatten(result).items()})
+        d.update({k: v if isfinite(v) else None for k, v in flatten(result).items()})
         return d
     if isinstance(result, TestReport):
         return {
@@ -112,8 +113,8 @@ def to_dict(result) -> dict:
             "name": result.name,
             "null_hypothesis": result.null_hypothesis,
             "statistics": [
-                {"form": s.form, "value": _json_number(s.value), "df": list(s.df),
-                 "p": _json_number(s.p)}
+                {"form": s.form, "value": s.value if isfinite(s.value) else None,
+                 "df": list(s.df), "p": s.p if isfinite(s.p) else None}
                 for s in result.statistics
             ],
             "details": dict(result.details),
@@ -140,11 +141,14 @@ def render_table(result, fmt: str = "text") -> str:
             f"{'Variable':<18}{'Coefficient':>14}{'Std. Error':>14}"
             f"{'t-Statistic':>14}{'Prob.':>10}",
         ]
-        for i, lab in enumerate(result.labels):
+        rows = zip(
+            result.labels, result.coefficients.tolist(), result.std_errors.tolist(),
+            result.t_stats.tolist(), result.p_values.tolist(),
+        )
+        for lab, coef, se, t, p in rows:
             lines.append(
-                f"{lab:<18}{_fmt_num(result.coefficients[i]):>14}"
-                f"{_fmt_num(result.std_errors[i]):>14}{_fmt_num(result.t_stats[i]):>14}"
-                f"{_fmt_p(result.p_values[i]):>10}"
+                f"{lab:<18}{_fmt_num(coef):>14}{_fmt_num(se):>14}{_fmt_num(t):>14}"
+                f"{_fmt_p(p):>10}"
             )
         lines.append("")
         for key, label in _summary_rows(result):
@@ -168,13 +172,16 @@ def render_table(result, fmt: str = "text") -> str:
     raise ConfigError(f"cannot render object of type {type(result).__name__}")
 
 
-class GoldenCell(Record):
+_NO_TOLERANCE = "golden cell needs at least one tolerance"
+
+
+class GoldenCell(TupleRecord):
     _fields = ("expected", "abs_tol", "rel_tol")
 
-    def __init__(self, expected: float, abs_tol: float | None, rel_tol: float | None):
+    def __new__(cls, expected: float, abs_tol: float | None, rel_tol: float | None):
         if abs_tol is None and rel_tol is None:
-            raise ConfigError("golden cell needs at least one tolerance")
-        self.__dict__.update(expected=expected, abs_tol=abs_tol, rel_tol=rel_tol)
+            raise ConfigError(_NO_TOLERANCE)
+        return tuple.__new__(cls, (expected, abs_tol, rel_tol))
 
 
 class GoldenTable(Frozen):
@@ -186,11 +193,11 @@ class GoldenTable(Frozen):
         self.__dict__.update(table_id=table_id, cells=cells)
 
 
-class CellDiff(Record):
+class CellDiff(TupleRecord):
     _fields = ("label", "observed", "expected", "passed")
 
-    def __init__(self, label: str, observed: float, expected: float, passed: bool):
-        self.__dict__.update(label=label, observed=observed, expected=expected, passed=passed)
+    def __new__(cls, label: str, observed: float, expected: float, passed: bool):
+        return tuple.__new__(cls, (label, observed, expected, passed))
 
 
 class GoldenDiff(Record):
@@ -204,38 +211,54 @@ class GoldenDiff(Record):
         return all(r.passed for r in self.rows)
 
 
+# A golden file is a few hundred bytes to a few KB: one read takes it whole.
+_READ_SIZE = 1 << 16
+
+
 def load_golden(table_id: int) -> GoldenTable:
     """Load a shipped golden table by id (1..17)."""
-    path = os.path.join(os.path.dirname(__file__), "golden", f"table{table_id:02d}.json")
+    if not is_integer(table_id):
+        raise ConfigError(f"no golden table with id {table_id}")
     try:
-        # the files are ASCII, which json.loads reads as bytes with no text decoder
-        with open(path, "rb") as fh:
-            payload = json.loads(fh.read())
+        fd = os.open(f"{_GOLDEN_DIR}table{table_id:02d}.json", os.O_RDONLY)
     except FileNotFoundError:
         raise ConfigError(f"no golden table with id {table_id}") from None
-    cells = {
-        label: GoldenCell(v[0], v[1], v[2]) for label, v in payload["cells"].items()
-    }
-    return GoldenTable(payload["table_id"], cells)
+    try:
+        chunks = [os.read(fd, _READ_SIZE)]
+        while len(chunks[-1]) == _READ_SIZE:
+            chunks.append(os.read(fd, _READ_SIZE))
+    finally:
+        os.close(fd)
+    # the files are ASCII, which json.loads reads as bytes with no text decoder
+    payload = json.loads(b"".join(chunks))
+    cells = payload["cells"]
+    for v in cells.values():
+        if v[1] is None and v[2] is None:
+            raise ConfigError(_NO_TOLERANCE)
+    new = tuple.__new__
+    return GoldenTable(payload["table_id"], {
+        label: new(GoldenCell, v) for label, v in cells.items()
+    })
 
 
 def compare_golden(result, golden: GoldenTable) -> GoldenDiff:
-    """Per-cell diff of a result against its golden table."""
+    """Per-cell diff of a result against its golden table: a cell passes when
+    its error is within its absolute or its relative tolerance."""
     values = flatten(result)
+    new = tuple.__new__
     rows = []
-    for label, cell in sorted(golden.cells.items()):
-        if label not in values:
+    for label, (expected, abs_tol, rel_tol) in sorted(golden.cells.items()):
+        try:
+            obs = values[label]
+        except KeyError:
             raise ConfigError(
                 f"golden table {golden.table_id} labels unknown field {label!r}"
-            )
-        obs = values[label]
-        err = abs(obs - cell.expected)
-        ok = False
-        if cell.abs_tol is not None and err <= cell.abs_tol:
-            ok = True
-        if cell.rel_tol is not None and err <= cell.rel_tol * abs(cell.expected):
-            ok = True
-        rows.append(CellDiff(label, obs, cell.expected, ok))
+            ) from None
+        err = abs(obs - expected)
+        # a bool, even where a numpy observation compares to a numpy bool
+        ok = True if ((abs_tol is not None and err <= abs_tol)
+                      or (rel_tol is not None and err <= rel_tol * abs(expected))) else False
+        rows.append(new(CellDiff, (label, obs, expected, ok)))
     return GoldenDiff(golden.table_id, tuple(rows))
 
 

@@ -16,6 +16,7 @@ from .gmm import GmmSpec, fit_linear_gmm
 from .hac import HacConfig
 from .ingest import embedded_dataset
 from .ols import RegressionSpec, fit_ols
+from .records import is_integer
 from .series import Quarter
 from .transform import TransformConfig, build_taylor_dataset
 
@@ -39,6 +40,9 @@ _GMM = GmmSpec(
 
 
 def country_for_table(table_id: int) -> str:
+    # a bool or a float equal to an id is not one: tuple membership tests ==
+    if not is_integer(table_id):
+        raise ConfigError(f"table id must be 1..17, got {table_id}")
     if table_id in US_TABLES:
         return "us"
     if table_id in UK_TABLES:

@@ -1,6 +1,9 @@
 """Semantics of the package's record types: frozen fields, value equality
 and hash where the fields are values, identity where they hold arrays."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,9 @@ from taylorlab.gmm import GmmSpec
 from taylorlab.hac import HacConfig
 from taylorlab.ols import RegressionSpec, Term, fit_ols
 from taylorlab.records import is_integer
-from taylorlab.report import GoldenCell, load_golden
+from taylorlab.report import CellDiff, GoldenCell, compare_golden, load_golden
 from taylorlab.series import Quarter
+from taylorlab.tables import baseline_spec
 
 
 @pytest.mark.parametrize(
@@ -21,8 +25,9 @@ from taylorlab.series import Quarter
         (HacConfig(4), "bandwidth"),
         (RegressionSpec("it", ("inflation_gap",)), "sample"),
         (GoldenCell(1.0, 0.005, None), "expected"),
+        (CellDiff("coef:C", 1.0, 1.0, True), "passed"),
     ],
-    ids=["Quarter", "Term", "HacConfig", "RegressionSpec", "GoldenCell"],
+    ids=["Quarter", "Term", "HacConfig", "RegressionSpec", "GoldenCell", "CellDiff"],
 )
 def test_fields_are_frozen(record, field):
     before = getattr(record, field)
@@ -84,6 +89,53 @@ def test_fits_compare_by_identity(us_data):
     assert fit != fit2
     assert np.array_equal(fit.coefficients, fit2.coefficients)
     assert len({fit, fit2}) == 2
+
+
+class TestTupleRecords:
+    """Golden cells and cell diffs are held as tuples but behave as records."""
+
+    def test_equal_by_fields_never_to_a_plain_tuple(self):
+        cell, fields = GoldenCell(1.0, 0.005, None), (1.0, 0.005, None)
+        assert cell == GoldenCell(1.0, 0.005, None) and hash(cell) == hash(fields)
+        assert cell != GoldenCell(1.0, 0.005, 0.01)
+        assert not (cell == fields) and not (fields == cell)
+        assert cell != fields and fields != cell
+        assert CellDiff("a", 1.0, 1.0, True) != GoldenCell("a", 1.0, 1.0)
+        assert len({cell, GoldenCell(1.0, 0.005, None), fields}) == 2
+
+    def test_not_ordered(self):
+        cell = GoldenCell(1.0, 0.005, None)
+        for other in (cell, (1.0, 0.005, None)):
+            for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+                with pytest.raises(TypeError):
+                    getattr(cell, op)(other)
+        with pytest.raises(TypeError):
+            (0.0, 1.0, None) < cell
+
+    def test_fields_by_name_and_repr(self):
+        row = CellDiff("p:C", 0.25, 0.5, False)
+        assert (row.label, row.observed, row.expected, row.passed) == ("p:C", 0.25, 0.5, False)
+        assert repr(row) == "CellDiff(label='p:C', observed=0.25, expected=0.5, passed=False)"
+        assert repr(GoldenCell(1.0, None, 0.01)) == (
+            "GoldenCell(expected=1.0, abs_tol=None, rel_tol=0.01)"
+        )
+        with pytest.raises(AttributeError):
+            row.extra = 1
+
+    def test_copy_and_pickle_keep_class_and_fields(self):
+        for record in (GoldenCell(1.0, 0.005, None), CellDiff("coef:C", 1.0, 1.0, True)):
+            for again in (copy.copy(record), copy.deepcopy(record),
+                          pickle.loads(pickle.dumps(record))):
+                assert type(again) is type(record) and again == record
+
+    def test_loaded_and_compared_records_equal_constructed_ones(self, us_data):
+        table = load_golden(1)
+        for cell in table.cells.values():
+            assert type(cell) is GoldenCell
+            assert cell == GoldenCell(cell.expected, cell.abs_tol, cell.rel_tol)
+        diff = compare_golden(fit_ols(us_data, baseline_spec("us")), table)
+        for row in diff.rows:
+            assert row == CellDiff(row.label, row.observed, row.expected, row.passed)
 
 
 def test_golden_table_compares_by_identity():

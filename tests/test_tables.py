@@ -8,6 +8,7 @@ import io
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 import taylorlab.tables as tables
@@ -77,6 +78,28 @@ def test_unknown_table_id_is_refused(us_data, fits):
     with pytest.raises(ConfigError, match="1..17"):
         tables.run_tables([1, 18], us_data)
     assert fits == []
+
+
+@pytest.mark.parametrize("table_id", [True, False, 1.0, 3.0, "1", None])
+def test_table_id_that_is_no_integer_is_refused(us_data, fits, table_id):
+    # a bool or a float that equals an id is not one (records.is_integer)
+    message = f"^table id must be 1..17, got {table_id}$"
+    with pytest.raises(ConfigError, match=message):
+        tables.country_for_table(table_id)
+    with pytest.raises(ConfigError, match=message):
+        tables.run_table(table_id, us_data)
+    with pytest.raises(ConfigError, match=message):
+        tables.run_tables([1, table_id], us_data)
+    assert fits == []
+
+
+def test_numpy_integer_table_ids_run(us_data):
+    assert tables.country_for_table(np.int64(12)) == "uk"
+    assert tables.country_for_table(np.uint8(3)) == "us"
+    by_numpy = tables.run_tables([np.int64(2), np.int32(7)], us_data)
+    assert [render_table(r) for r in by_numpy] == [
+        render_table(r) for r in tables.run_tables([2, 7], us_data)
+    ]
 
 
 @pytest.mark.parametrize("table_id", [1, 6, 9, 12])
