@@ -12,7 +12,7 @@ from . import dist
 from .errors import CollinearityError, ConfigError, DomainError, SampleError
 from .ols import (
     _EXACT_FIT, CONST, FitResult, RegressionSpec, _column_peaks, _exact_fit, build_design,
-    nested_f, reject_exact_fit, reject_unidentified, solve_ols,
+    nested_f, reject_exact_fit, reject_unidentified, solve_ols, unit_scale,
 )
 from .records import Record, is_integer
 from .series import Dataset, Quarter, Series
@@ -21,22 +21,20 @@ from .series import Dataset, Quarter, Series
 class TestStatistic(Record):
     _fields = ("form", "value", "df", "p")
 
-    def __init__(self, form: str, value: float, df: tuple[int, ...], p: float):
+    def __new__(cls, form: str, value: float, df: tuple[int, ...], p: float):
         # form: F | chi2 | LR | obs_r2 | jb
-        self.__dict__.update(form=form, value=value, df=df, p=p)
+        return tuple.__new__(cls, (form, value, df, p))
 
 
 class TestReport(Record):
     _fields = ("name", "null_hypothesis", "statistics", "details")
 
     # details: extra labelled scalars (e.g. normalized restriction values)
-    def __init__(
-        self, name: str, null_hypothesis: str, statistics: tuple[TestStatistic, ...],
+    def __new__(
+        cls, name: str, null_hypothesis: str, statistics: tuple[TestStatistic, ...],
         details: tuple[tuple[str, float], ...] = (),
     ):
-        self.__dict__.update(
-            name=name, null_hypothesis=null_hypothesis, statistics=statistics, details=details
-        )
+        return tuple.__new__(cls, (name, null_hypothesis, statistics, details))
 
     def stat(self, form: str) -> TestStatistic:
         for s in self.statistics:
@@ -168,6 +166,14 @@ def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, ssr_r: float,
     return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
 
 
+# A vector times the power of two that brings its largest |x| into [0.5, 1),
+# ``unit_scale``'s rule. That is exact, so the powers of it that a statistic
+# forms neither overflow nor underflow, and a statistic free of the scale
+# keeps its bits.
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    return x * unit_scale(x[:, None])[0]
+
+
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.allclose``'s elementwise rule |a - b| <= 1e-8 + 1e-5 |b|."""
     return np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)
@@ -191,7 +197,7 @@ def _distinct_columns(Xa: np.ndarray) -> list[int]:
 def white_test(fit: FitResult) -> TestReport:
     """White heteroskedasticity test: e^2 on a constant, the non-constant
     regressors, their squares and cross-products, against the constant alone."""
-    X, u = fit.x_matrix, fit.residuals.values ** 2
+    X, u = fit.x_matrix, _unit_scaled(fit.residuals.values) ** 2
     regs = [X[:, i] for i, t in enumerate(fit.spec.regressors) if t.name != CONST]
     cols = [np.ones(fit.n_obs)] + regs + [z * z for z in regs]
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
@@ -245,7 +251,7 @@ def jarque_bera_test(residuals: Series) -> TestReport:
     T = len(e)
     if T < 4:
         raise SampleError(f"need at least 4 residuals, got {T}")
-    m = e - e.mean()
+    m = _unit_scaled(e - e.mean())
     m2 = float((m**2).mean())
     if m2 <= 0:
         raise DomainError("residuals have zero variance")

@@ -29,8 +29,8 @@ from .series import Dataset
 class GmmSpec(Record):
     _fields = ("base", "instruments", "weighting")
 
-    def __init__(  # weighting None: classical
-        self, base: RegressionSpec, instruments, weighting: HacConfig | None = HacConfig()
+    def __new__(  # weighting None: classical
+        cls, base: RegressionSpec, instruments, weighting: HacConfig | None = HacConfig()
     ):
         inst = list(coerce_terms(instruments))
         if not any(t.name == CONST for t in inst):
@@ -47,7 +47,7 @@ class GmmSpec(Record):
                 f"GMM covariance comes from weighting={weighting!r}; "
                 f"base covariance {base.covariance!r} differs"
             )
-        self.__dict__.update(base=base, instruments=tuple(inst), weighting=weighting)
+        return tuple.__new__(cls, (base, tuple(inst), weighting))
 
 
 class GmmResult(Estimate):

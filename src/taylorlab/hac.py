@@ -14,13 +14,13 @@ _EPS = np.finfo(float).eps  # float64's machine epsilon, as a numpy float64
 class HacConfig(Record):
     _fields = ("bandwidth",)
 
-    def __init__(self, bandwidth: int | None = None):  # None: sample-size rule
+    def __new__(cls, bandwidth: int | None = None):  # None: sample-size rule
         if bandwidth is not None:
             if not is_integer(bandwidth):
                 raise ConfigError(f"bandwidth must be an integer, got {bandwidth!r}")
             if bandwidth < 1:
                 raise ConfigError(f"bandwidth must be >= 1, got {bandwidth}")
-        self.__dict__.update(bandwidth=bandwidth)
+        return tuple.__new__(cls, (bandwidth,))
 
 
 def default_bandwidth(T: int) -> int:

@@ -199,11 +199,11 @@ def embedded_dataset(country: str) -> Dataset:
 class RemoteConfig(Record):
     _fields = ("base_url", "api_key_env")
 
-    def __init__(
-        self, base_url: str = "https://api.stlouisfed.org/fred/series/observations",
+    def __new__(
+        cls, base_url: str = "https://api.stlouisfed.org/fred/series/observations",
         api_key_env: str = "FRED_API_KEY",
     ):
-        self.__dict__.update(base_url=base_url, api_key_env=api_key_env)
+        return tuple.__new__(cls, (base_url, api_key_env))
 
 
 class SourceDescriptor(Frozen):

@@ -23,12 +23,12 @@ class Term(Record):
 
     _fields = ("name", "lag")
 
-    def __init__(self, name: str, lag: int = 0):
+    def __new__(cls, name: str, lag: int = 0):
         if not is_integer(lag) or lag < 0:
             raise ConfigError(f"lag of {name} must be a non-negative integer, got {lag!r}")
         if name == CONST and lag:
             raise ConfigError(f"the constant takes no lag: {name}(-{lag})")
-        self.__dict__.update(name=name, lag=lag)
+        return tuple.__new__(cls, (name, lag))
 
     @classmethod
     def parse(cls, text: str) -> "Term":
@@ -48,7 +48,7 @@ def coerce_terms(terms) -> tuple[Term, ...]:
     out = []
     for t in terms:
         out.append(t if isinstance(t, Term) else Term.parse(str(t)))
-    if len({(t.name, t.lag) for t in out}) != len(out):
+    if len(set(out)) != len(out):
         raise ConfigError("duplicate regressor terms")
     return tuple(out)
 
@@ -66,8 +66,8 @@ class RegressionSpec(Record):
 
     _fields = ("dependent", "regressors", "sample", "covariance")
 
-    def __init__(
-        self, dependent: Term | str, regressors, include_constant: bool = True,
+    def __new__(
+        cls, dependent: Term | str, regressors, include_constant: bool = True,
         sample: tuple[Quarter, Quarter] | None = None, covariance: HacConfig | None = None,
     ):
         dep = dependent if isinstance(dependent, Term) else Term.parse(str(dependent))
@@ -85,9 +85,12 @@ class RegressionSpec(Record):
             raise ConfigError(f"sample must be None or a pair of Quarters, got {sample!r}")
         if covariance is not None and not isinstance(covariance, HacConfig):
             raise ConfigError(f"unknown covariance estimator {covariance!r}")
-        self.__dict__.update(
-            dependent=dep, regressors=tuple(regs), sample=sample, covariance=covariance
-        )
+        return tuple.__new__(cls, (dep, tuple(regs), sample, covariance))
+
+    def __getnewargs__(self) -> tuple:
+        # the constant is already among the regressors: do not append it again
+        dep, regs, sample, covariance = self
+        return dep, regs, False, sample, covariance
 
     @property
     def has_constant(self) -> bool:

@@ -1,11 +1,11 @@
 """Immutable record bases for the package's value types.
 
-Each record class names its fields in ``_fields`` and sets them once, in
-its own ``__init__``, through ``self.__dict__``; assigning to an attribute
-afterwards raises ``AttributeError``. The methods are written out, not
-generated: generating them runs ``exec`` per class, which cost about 1 ms
-per class at import. A ``TupleRecord`` holds its fields as a tuple instead,
-for the records built by the hundred per request.
+A ``Record`` is a value, held as the tuple of its fields in ``_fields``
+order: its class's ``__new__`` checks them and calls ``tuple.__new__``, and
+each field reads by name through a property made once per class (generating
+methods with ``exec`` cost about 1 ms per class at import). A ``Frozen``
+record holds arrays or dicts in ``__dict__``, set once by its ``__init__``,
+and compares by identity; unlike a tuple, it can be weakly referenced.
 """
 
 from __future__ import annotations
@@ -37,29 +37,37 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-class Record(Frozen):
-    """Frozen record with value equality and hash over its fields in order."""
+# the tuple's own ordering method for each operator
+_ORDER = {"<": tuple.__lt__, "<=": tuple.__le__, ">": tuple.__gt__, ">=": tuple.__ge__}
 
-    __slots__ = ()
 
-    def _key(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
+# The method for ``op``: ``by_fields`` against a record of the same class, if
+# given, else the TypeError Python raises for operands with no order. A tuple
+# operand is refused here, since returning NotImplemented would hand the
+# comparison to the tuple, which compares by items.
+def _ordering(op: str, by_fields=None):
+    def compare(self, other):
+        if by_fields is not None and other.__class__ is self.__class__:
+            return by_fields(self, other)
+        if isinstance(other, tuple):
+            raise TypeError(f"'{op}' not supported between instances of "
+                            f"{type(self).__name__!r} and {type(other).__name__!r}")
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    return compare
 
 
-class TupleRecord(Frozen, tuple):
-    """Frozen record held as the tuple of its fields in order, so that a hot
-    loop builds one with ``tuple.__new__(cls, values)``, skipping the class's
-    checks, and unpacks it like a tuple. Otherwise it behaves as a
-    ``Record``: fields read by name, value equality only with its own class
-    (never with a plain tuple), no ordering, and the hash of its fields."""
+def ordered(cls):
+    """Class decorator: order a ``Record`` class by its fields in order."""
+    cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (_ordering(*kv) for kv in _ORDER.items())
+    return cls
+
+
+class Record(Frozen, tuple):
+    """Frozen record held as the tuple of its fields, which a hot loop may
+    build with ``tuple.__new__(cls, values)`` and unpack. It equals only a
+    record of its class with equal fields, hashes as their tuple, and has
+    no order unless its class is ``ordered``."""
 
     __slots__ = ()
 
@@ -68,8 +76,7 @@ class TupleRecord(Frozen, tuple):
         for i, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(i)))
 
-    # A plain tuple operand gets an answer here: returning NotImplemented
-    # would hand the comparison to the tuple, which compares by items.
+    # A plain tuple operand gets its answer here, as in _ordering.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return tuple.__eq__(self, other)
@@ -80,10 +87,7 @@ class TupleRecord(Frozen, tuple):
             return tuple.__ne__(self, other)
         return True if isinstance(other, tuple) else NotImplemented
 
-    def __lt__(self, other):
-        raise TypeError(f"{type(self).__name__} records have no order")
-
-    __le__ = __gt__ = __ge__ = __lt__
+    __lt__, __le__, __gt__, __ge__ = map(_ordering, _ORDER)
     __hash__ = tuple.__hash__
 
     def __getnewargs__(self) -> tuple:

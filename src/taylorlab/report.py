@@ -9,7 +9,7 @@ import os
 from .diagnostics import TestReport
 from .errors import ConfigError
 from .ols import Estimate, FitResult
-from .records import Frozen, Record, TupleRecord, is_integer
+from .records import Frozen, Record, is_integer
 
 # the shipped golden tables' directory, with a trailing separator
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "")
@@ -175,7 +175,7 @@ def render_table(result, fmt: str = "text") -> str:
 _NO_TOLERANCE = "golden cell needs at least one tolerance"
 
 
-class GoldenCell(TupleRecord):
+class GoldenCell(Record):
     _fields = ("expected", "abs_tol", "rel_tol")
 
     def __new__(cls, expected: float, abs_tol: float | None, rel_tol: float | None):
@@ -193,7 +193,7 @@ class GoldenTable(Frozen):
         self.__dict__.update(table_id=table_id, cells=cells)
 
 
-class CellDiff(TupleRecord):
+class CellDiff(Record):
     _fields = ("label", "observed", "expected", "passed")
 
     def __new__(cls, label: str, observed: float, expected: float, passed: bool):
@@ -203,8 +203,8 @@ class CellDiff(TupleRecord):
 class GoldenDiff(Record):
     _fields = ("table_id", "rows")
 
-    def __init__(self, table_id: int, rows: tuple[CellDiff, ...]):
-        self.__dict__.update(table_id=table_id, rows=rows)
+    def __new__(cls, table_id: int, rows: tuple[CellDiff, ...]):
+        return tuple.__new__(cls, (table_id, rows))
 
     @property
     def passed(self) -> bool:

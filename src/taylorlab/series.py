@@ -12,35 +12,25 @@ import re
 import numpy as np
 
 from .errors import DomainError, SampleError
-from .records import Frozen, Record, is_integer
+from .records import Frozen, Record, is_integer, ordered
 
 # A quarter such as 1990Q1, 1990-Q1, 1990:q1 or 1990 Q1, grouping the year and
 # the quarter number. ``ingest`` builds its date-token pattern from it.
 _QUARTER = r"([0-9]{4})[-: ]?[Qq]([1-4])"
 
 
+@ordered
 class Quarter(Record):
-    """A calendar quarter, totally ordered by (year, q). ``>`` and ``>=``
-    come from the reflected ``__lt__`` and ``__le__``."""
+    """A calendar quarter, totally ordered by (year, q) against another Quarter."""
 
     _fields = ("year", "q")
 
-    def __init__(self, year: int, q: int):
+    def __new__(cls, year: int, q: int):
         if not is_integer(year):
             raise DomainError(f"year must be an integer, got {year!r}")
         if not is_integer(q) or q not in (1, 2, 3, 4):
             raise DomainError(f"quarter number must be 1..4, got {q!r}")
-        self.__dict__.update(year=year, q=q)
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.year, self.q) < (other.year, other.q)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.year, self.q) <= (other.year, other.q)
-        return NotImplemented
+        return tuple.__new__(cls, (year, q))
 
     @classmethod
     def parse(cls, text: str) -> "Quarter":

@@ -27,8 +27,8 @@ class TransformConfig(Record):
     _fields = ("inflation_target", "detrend", "hp_lambda")
 
     # detrend "hp_filter" reproduces the published tables
-    def __init__(
-        self, inflation_target: float = 2.0, detrend: str = "hp_filter", hp_lambda: float = 1600.0
+    def __new__(
+        cls, inflation_target: float = 2.0, detrend: str = "hp_filter", hp_lambda: float = 1600.0
     ):
         if not np.isfinite(inflation_target):
             raise ConfigError("inflation_target must be finite")
@@ -36,9 +36,7 @@ class TransformConfig(Record):
             raise ConfigError(f"unknown detrend method {detrend!r}")
         if not 0 < hp_lambda < np.inf:
             raise ConfigError(f"hp_lambda must be finite and positive, got {hp_lambda}")
-        self.__dict__.update(
-            inflation_target=inflation_target, detrend=detrend, hp_lambda=hp_lambda
-        )
+        return tuple.__new__(cls, (inflation_target, detrend, hp_lambda))
 
 
 def yoy_change(s: Series) -> Series:

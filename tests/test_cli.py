@@ -588,6 +588,29 @@ class TestTest:
         assert err == ("estimation error: dependent variable is an exact linear combination "
                        "of the regressors in the auxiliary regression\n")
 
+    @pytest.mark.parametrize("kind", ["jb", "white"])
+    @pytest.mark.parametrize("factor", [1e-150, 1e150])
+    def test_jb_and_white_do_not_depend_on_the_residual_scale(
+        self, capsys, tmp_path, kind, factor
+    ):
+        # the interest rate times 1e-150 made JB raise ZeroDivisionError and
+        # White exit 1 with a false exact fit; times 1e150 OverflowError and
+        # the same false exit
+        lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
+        col = lines[0].split(",").index("interest_rate")
+        rows = [lines[0]]
+        for line in lines[1:]:
+            cells = line.split(",")
+            cells[col] = repr(float(cells[col]) * factor)
+            rows.append(",".join(cells))
+        p = tmp_path / "scaled.csv"
+        p.write_text("\n".join(rows))
+        reg = ("--reg", "inflation_gap,output_gap")
+        code, out, err = run_cli(capsys, "test", kind, "--csv", str(p), *reg)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "test", kind, "--country", "us", *reg)[1]
+        assert ("4.508836" if kind == "jb" else "1.637360") in out
+
     def test_chow_ignores_singular_pooled_moment_covariance(self, capsys):
         # the statistic is built from SSRs; the pooled fit's HAC covariance,
         # singular at this bandwidth, is never formed

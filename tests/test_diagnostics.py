@@ -742,3 +742,49 @@ class TestJarqueBera:
     def test_short_sample_rejected(self):
         with pytest.raises(SampleError):
             jarque_bera_test(Series("e", Quarter(2000, 1), (1.0, 2.0, 3.0)))
+
+
+def _unscaled_jb(e: np.ndarray) -> float:
+    """The Jarque-Bera statistic as formed before the residuals were scaled:
+    the powers of the centred residuals as they come."""
+    m = e - e.mean()
+    m2 = float((m**2).mean())
+    skew = float((m**3).mean()) / m2**1.5
+    kurt = float((m**4).mean()) / m2**2
+    return len(e) / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)
+
+
+class TestResidualScale:
+    """Jarque-Bera and White form powers of the residuals only after scaling
+    them by the power of two that brings the largest into [0.5, 1). That is
+    exact, so residuals times 2^p give the same statistics bit for bit; at
+    the unscaled powers JB raised ZeroDivisionError or OverflowError, and
+    White's auxiliary SSR rounded to 0 or overflowed, a false exact fit."""
+
+    @pytest.mark.parametrize("p", [-900, -600, -300, -1, 0, 1, 300, 600, 900])
+    def test_jb_of_residuals_times_a_power_of_two(self, us_data, p):
+        e = run_table(1, us_data).residuals
+        scaled = Series(e.name, e.start, np.ldexp(e.values, p))
+        assert jarque_bera_test(scaled) == jarque_bera_test(e)
+
+    @pytest.mark.parametrize("p", [-500, -300, -1, 0, 1, 300, 500])
+    def test_white_of_residuals_times_a_power_of_two(self, us_data, p):
+        # the dependent times 2^p gives a fit whose residuals are exactly
+        # the unscaled ones times 2^p
+        it = us_data["it"]
+        spec = RegressionSpec("y", ("inflation_gap", "output_gap"))
+        fits = [fit_ols(us_data.with_series(Series("y", it.start, np.ldexp(it.values, k))), spec)
+                for k in (0, p)]
+        assert np.array_equal(np.ldexp(fits[0].residuals.values, p), fits[1].residuals.values)
+        assert white_test(fits[1]) == white_test(fits[0])
+
+    def test_jb_at_ordinary_scale_keeps_the_unscaled_formula(self):
+        # only the rounding of m2**1.5 and m2**2 may differ: a few ulps of S
+        # and K, which JB = T/6 (S^2 + (K - 3)^2 / 4) carries as under
+        # 1e-13 relative, or 1e-13 T absolute where JB is near zero
+        rng = np.random.default_rng(3607)
+        for _ in range(300):
+            T = int(rng.integers(4, 300))
+            vals = rng.standard_t(df=5, size=T) * 10.0 ** rng.uniform(-6, 6)
+            got = jarque_bera_test(Series("e", Quarter(2000, 1), vals)).stat("jb").value
+            assert got == pytest.approx(_unscaled_jb(vals), rel=1e-13, abs=1e-13 * T)

@@ -2,40 +2,138 @@
 and hash where the fields are values, identity where they hold arrays."""
 
 import copy
+import operator
 import pickle
 
 import numpy as np
 import pytest
 
+# by module: pytest would collect a name starting with Test as a test class
+from taylorlab import diagnostics
 from taylorlab.errors import ConfigError
 from taylorlab.gmm import GmmSpec
 from taylorlab.hac import HacConfig
+from taylorlab.ingest import RemoteConfig
 from taylorlab.ols import RegressionSpec, Term, fit_ols
-from taylorlab.records import is_integer
-from taylorlab.report import CellDiff, GoldenCell, compare_golden, load_golden
+from taylorlab.records import Record, is_integer
+from taylorlab.report import CellDiff, GoldenCell, GoldenDiff, compare_golden, load_golden
 from taylorlab.series import Quarter
 from taylorlab.tables import baseline_spec
+from taylorlab.transform import TransformConfig
+
+_SPEC = ("RegressionSpec(dependent=Term(name='it', lag=0), regressors=(Term(name='inflation_gap', "
+         "lag=0), Term(name='const', lag=0)), sample=None, covariance=None)")
+_STAT = "TestStatistic(form='F', value=1.5, df=(1, 2), p=0.25)"
+_CELL = "CellDiff(label='coef:C', observed=1.0, expected=1.0, passed=True)"
+
+# One record of each value class (RegressionSpec in three forms), built by a
+# call so that each call gives a new record; the name of one of its fields;
+# and its repr, which does not depend on how a record holds its fields.
+VALUES = {
+    "Quarter": (lambda: Quarter(1990, 1), "q", "Quarter(year=1990, q=1)"),
+    "Term": (lambda: Term("s", 1), "lag", "Term(name='s', lag=1)"),
+    "HacConfig": (lambda: HacConfig(4), "bandwidth", "HacConfig(bandwidth=4)"),
+    "RegressionSpec": (lambda: RegressionSpec("it", ("inflation_gap",)), "sample", _SPEC),
+    "GoldenCell": (
+        lambda: GoldenCell(1.0, 0.005, None), "expected",
+        "GoldenCell(expected=1.0, abs_tol=0.005, rel_tol=None)",
+    ),
+    "CellDiff": (lambda: CellDiff("coef:C", 1.0, 1.0, True), "passed", _CELL),
+    "RegressionSpec-no-const": (
+        lambda: RegressionSpec("it", ("inflation_gap", "s(-1)"), include_constant=False),
+        "regressors",
+        "RegressionSpec(dependent=Term(name='it', lag=0), regressors=(Term(name='inflation_gap', "
+        "lag=0), Term(name='s', lag=1)), sample=None, covariance=None)",
+    ),
+    "RegressionSpec-sample-hac": (
+        lambda: RegressionSpec(
+            "it", ("const", "inflation_gap"), sample=(Quarter(1991, 1), Quarter(2000, 4)),
+            covariance=HacConfig(3),
+        ),
+        "covariance",
+        "RegressionSpec(dependent=Term(name='it', lag=0), regressors=(Term(name='const', lag=0), "
+        "Term(name='inflation_gap', lag=0)), sample=(Quarter(year=1991, q=1), Quarter(year=2000, "
+        "q=4)), covariance=HacConfig(bandwidth=3))",
+    ),
+    "GmmSpec": (
+        lambda: GmmSpec(RegressionSpec("it", ("inflation_gap",)), ("s", "s(-1)")), "instruments",
+        f"GmmSpec(base={_SPEC}, instruments=(Term(name='const', lag=0), Term(name='s', lag=0), "
+        "Term(name='s', lag=1)), weighting=HacConfig(bandwidth=None))",
+    ),
+    "TestStatistic": (lambda: diagnostics.TestStatistic("F", 1.5, (1, 2), 0.25), "value", _STAT),
+    "TestReport": (
+        lambda: diagnostics.TestReport(
+            "n", "h", (diagnostics.TestStatistic("F", 1.5, (1, 2), 0.25),), (("a", 1.0),)
+        ),
+        "statistics",
+        f"TestReport(name='n', null_hypothesis='h', statistics=({_STAT},), details=(('a', 1.0),))",
+    ),
+    "TransformConfig": (
+        lambda: TransformConfig(), "detrend",
+        "TransformConfig(inflation_target=2.0, detrend='hp_filter', hp_lambda=1600.0)",
+    ),
+    "RemoteConfig": (
+        lambda: RemoteConfig(), "api_key_env",
+        "RemoteConfig(base_url='https://api.stlouisfed.org/fred/series/observations', "
+        "api_key_env='FRED_API_KEY')",
+    ),
+    "GoldenDiff": (
+        lambda: GoldenDiff(1, (CellDiff("coef:C", 1.0, 1.0, True),)), "rows",
+        f"GoldenDiff(table_id=1, rows=({_CELL},))",
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "record,field",
-    [
-        (Quarter(1990, 1), "q"),
-        (Term("s", 1), "lag"),
-        (HacConfig(4), "bandwidth"),
-        (RegressionSpec("it", ("inflation_gap",)), "sample"),
-        (GoldenCell(1.0, 0.005, None), "expected"),
-        (CellDiff("coef:C", 1.0, 1.0, True), "passed"),
-    ],
-    ids=["Quarter", "Term", "HacConfig", "RegressionSpec", "GoldenCell", "CellDiff"],
-)
-def test_fields_are_frozen(record, field):
+@pytest.mark.parametrize("make,field", [v[:2] for v in VALUES.values()], ids=list(VALUES))
+def test_fields_are_frozen(make, field):
+    record = make()
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, 2)
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert getattr(record, field) == before
+
+
+_ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+@pytest.mark.parametrize("make,field,text", VALUES.values(), ids=list(VALUES))
+def test_value_record_semantics(make, field, text):
+    a, b = make(), make()
+    assert isinstance(a, Record) and a is not b
+    fields = tuple(getattr(a, f) for f in a._fields)
+    # equal and hashed by fields, and unequal when one field differs
+    assert a == b and not (a != b) and hash(a) == hash(b) == hash(fields)
+    other = tuple.__new__(type(a), tuple(object() if f == field else v
+                                         for f, v in zip(a._fields, fields)))
+    assert a != other and not (a == other)
+    # never equal to the plain tuple of its fields, in either order
+    assert not (a == fields) and not (fields == a) and a != fields and fields != a
+    assert len({a, b, fields}) == 2
+    # no order, except a Quarter against a Quarter
+    pairs = [(a, fields), (fields, a)] + ([] if type(a) is Quarter else [(a, b)])
+    for op in _ORDER:
+        for x, y in pairs:
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert repr(a) == text
+    for again in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(again) is type(a) and again == a and repr(again) == text
+
+
+def test_quarters_order_only_among_quarters():
+    a, b = Quarter(1990, 1), Quarter(1990, 2)
+    assert [op(a, b) for op in _ORDER] == [True, True, False, False]
+    assert [op(a, a) for op in _ORDER] == [False, True, False, True]
+
+
+def test_remote_config_is_built_by_keyword():
+    # as the benchmark's panel workload builds it
+    remote = RemoteConfig(base_url="bench://fred/series/observations", api_key_env="KEY")
+    assert (remote.base_url, remote.api_key_env) == ("bench://fred/series/observations", "KEY")
+    assert remote == RemoteConfig("bench://fred/series/observations", "KEY")
+    assert RemoteConfig(api_key_env="KEY") == RemoteConfig(RemoteConfig().base_url, "KEY")
 
 
 class TestQuarter:
