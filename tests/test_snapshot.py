@@ -6,7 +6,10 @@ output of ``reproduce --country us|uk -v``, and the JSON of all 17 tables
 text and the JSON of the over-identified GMM tables 9 and 17 must match
 byte for byte. The JSON of the other tables must match in keys and strings,
 with numbers within 1e-12 relative, so that a change in rounding order
-shows as drift, not as failure. A change that is meant to keep the output
+shows as drift, not as failure. ``cli.txt`` and ``cli.json`` hold the text
+and the JSON of a fixed list of ad hoc ``fit`` and ``test`` commands on
+both countries, under the same two rules: text byte for byte, JSON within
+1e-12. A change that is meant to keep the output
 identical must leave these files as they are; one that changes the output
 on purpose writes them again with
 
@@ -17,6 +20,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,31 @@ TABLES = US_TABLES + UK_TABLES
 GMM_TABLES = (9, 17)
 OTHER_TABLES = tuple(t for t in TABLES if t not in GMM_TABLES)
 COUNTRIES = ("us", "uk")
+_GAPS = "inflation_gap,output_gap"
+# classical and HAC fits, with and without a bandwidth, without a constant
+# and with lagged regressors; every test kind, Chow at a table's break
+# (2003Q1) and at one no table uses, Breusch-Godfrey at one and three lags
+CLI_COMMANDS = tuple(
+    f"{command} --country {country}"
+    for country in COUNTRIES
+    for command in (
+        f"fit --reg {_GAPS}",
+        f"fit --reg {_GAPS} --cov hac",
+        f"fit --reg {_GAPS} --cov hac --bandwidth 8",
+        f"fit --reg {_GAPS} --no-const",
+        f"fit --reg {_GAPS},s(-1)",
+        f"fit --reg it(-1),{_GAPS} --cov hac",
+        f"fit --reg {_GAPS},s --sample 1995Q1:2015Q4",
+        f"test wald --reg {_GAPS} --restrict b1=1.5,b2=0.5",
+        f"test chow --reg {_GAPS} --break 2003Q1",
+        f"test chow --reg {_GAPS} --break 2008Q3",
+        f"test white --reg {_GAPS}",
+        f"test white --reg {_GAPS},s(-1) --no-const",
+        f"test bg --reg {_GAPS}",
+        f"test bg --reg {_GAPS} --lags 3",
+        f"test jb --reg {_GAPS}",
+    )
+)
 
 
 def table_text(table_id: int, datasets: dict, fmt: str = "text") -> str:
@@ -43,6 +72,19 @@ def reproduce_verbose(country: str) -> str:
         code = main(["reproduce", "--country", country, "-v"])
     assert code == 0
     return out.getvalue()
+
+
+def cli_output(command: str, fmt: str = "text") -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*command.split(), "--format", fmt])
+    assert code == 0
+    return out.getvalue()
+
+
+def cli_text(command: str) -> str:
+    """The command's text output headed by a ``$ taylorlab`` line."""
+    return f"$ taylorlab {command}\n{cli_output(command)}"
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +133,28 @@ def test_reproduce_verbose_matches_snapshot(country):
     assert reproduce_verbose(country) == expected
 
 
+@pytest.fixture(scope="module")
+def cli_snapshot():
+    sections = re.split(r"^(?=\$ taylorlab )", (SNAPSHOTS / "cli.txt").read_text(), flags=re.M)
+    return {section.partition("\n")[0][12:]: section for section in sections if section}
+
+
+def test_cli_snapshot_lists_the_commands(cli_snapshot):
+    assert tuple(cli_snapshot) == CLI_COMMANDS
+    assert tuple(json.loads((SNAPSHOTS / "cli.json").read_text())) == CLI_COMMANDS
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_text_matches_snapshot(command, cli_snapshot):
+    assert cli_text(command) == cli_snapshot[command]
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_json_within_1e12_of_snapshot(command):
+    expected = json.loads((SNAPSHOTS / "cli.json").read_text())[command]
+    assert_json_close(json.loads(cli_output(command, "json")), expected)
+
+
 def write_snapshots() -> None:
     SNAPSHOTS.mkdir(exist_ok=True)
     datasets = {c: reproduction_dataset(c) for c in COUNTRIES}
@@ -99,6 +163,9 @@ def write_snapshots() -> None:
         (SNAPSHOTS / f"table{tid:02d}.json").write_text(table_text(tid, datasets, "json"))
     for c in COUNTRIES:
         (SNAPSHOTS / f"reproduce_{c}_v.txt").write_text(reproduce_verbose(c))
+    (SNAPSHOTS / "cli.txt").write_text("".join(cli_text(c) for c in CLI_COMMANDS))
+    cli_json = {c: json.loads(cli_output(c, "json")) for c in CLI_COMMANDS}
+    (SNAPSHOTS / "cli.json").write_text(json.dumps(cli_json, indent=1) + "\n")
 
 
 if __name__ == "__main__":
