@@ -9,10 +9,10 @@ import math
 import numpy as np
 
 from . import dist
-from .errors import CollinearityError, ConfigError, DomainError, SampleError
+from .errors import ConfigError, DomainError, SampleError
 from .ols import (
-    _EXACT_FIT, CONST, FitResult, RegressionSpec, _column_peaks, _exact_fit, build_design,
-    nested_f, reject_exact_fit, reject_unidentified, solve_ols, unit_scale,
+    CONST, FitResult, RegressionSpec, _column_peaks, build_design, nested_f, reject_exact_fit,
+    reject_unidentified, solve_ols, unit_scaled,
 )
 from .records import Record, is_integer
 from .series import Dataset, Quarter, Series
@@ -92,13 +92,13 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     The pre-break regime ends the quarter before ``break_at``; the second
     regime starts at ``break_at``. The pooled model and each regime, its
     rows of the pooled design followed by zero rows up to T, are solved as
-    one stack for their SSRs alone: the residuals and fitted-term sizes of
-    all three are one pass over the stack each. The pooled model's errors
-    come first; a regime too small to identify the model, or that is an
-    exact fit, raises naming its quarters. The statistics are built from
-    SSRs, so ``spec.covariance`` plays no part. Reports F (``nested_f`` of
-    the pooled SSR against ssr1 + ssr2), the likelihood ratio, and the Wald
-    form k*F.
+    one stack for their SSRs alone, and their residuals are one pass over the
+    stack; each SSR is ``reject_exact_fit`` over the system's own rows. The
+    pooled model's errors come first; a regime too small to identify the
+    model, or that is an exact fit, raises naming its quarters. The
+    statistics are built from SSRs, so ``spec.covariance`` plays no part.
+    Reports F (``nested_f`` of the pooled SSR against ssr1 + ssr2), the
+    likelihood ratio, and the Wald form k*F.
     """
     y, X, (start, end) = build_design(d, spec)
     T, k = X.shape
@@ -107,29 +107,19 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
     n1 = break_at - start
     sizes = (T, n1, T - n1)  # of the pooled model and the two regimes
-
-    def where(i):  # the quarters of system i, formatted only to raise
-        if i == 0:
-            return ""
-        first, last = (start, break_at.offset(-1)) if i == 1 else (break_at, end)
-        return f" over the regime {first}..{last}"
-
-    for i in (1, 2):
-        if sizes[i] <= k:
-            reject_unidentified(sizes[i], k, where(i))
+    wheres = ("", f" over the regime {start}..{break_at.offset(-1)}",
+              f" over the regime {break_at}..{end}")
+    for n, where in zip(sizes[1:], wheres[1:]):
+        reject_unidentified(n, k, where)
     Xs, ys = np.zeros((3, T, k)), np.zeros((3, T))
     Xs[0], Xs[1, :n1], Xs[2, : T - n1] = X, X[:n1], X[n1:]
     ys[0], ys[1, :n1], ys[2, : T - n1] = y, y[:n1], y[n1:]
     B = solve_ols(Xs, ys, [t.label for t in spec.regressors])[..., None]
-    # zero on the padding rows; the products over each system's own rows
-    # are those of its fit alone
-    fs = (np.abs(Xs) @ np.abs(B))[..., 0]
     es = ys - (Xs @ B)[..., 0]
-    ssrs = [float(e[:n] @ e[:n]) for e, n in zip(es, sizes)]
-    for i, (f, n) in enumerate(zip(fs, sizes)):
-        if _exact_fit(ssrs[i], float(f[:n] @ f[:n]), n):
-            raise CollinearityError(_EXACT_FIT + where(i))
-    ssr, ssr1, ssr2 = ssrs
+    ssr, ssr1, ssr2 = (
+        reject_exact_fit(e[:n], x[:n], b[:, 0], where)
+        for e, x, b, n, where in zip(es, Xs, B, sizes, wheres)
+    )
     F = nested_f(ssr, ssr1 + ssr2, k, T - 2 * k)
     # 2 (ll1 + ll2 - ll) with the constants cancelled: ratios of variances,
     # which do not depend on the units of y
@@ -156,22 +146,12 @@ def _lm_test(name: str, null: str, Xa: np.ndarray, u: np.ndarray, ssr_r: float,
     which the caller names, against the SSR of u on Xa."""
     T, p = Xa.shape
     beta = solve_ols(Xa, u)
-    resid = u - Xa @ beta
-    ssr = float(resid @ resid)
-    reject_exact_fit(ssr, Xa, beta, " in the auxiliary regression")
+    ssr = reject_exact_fit(u - Xa @ beta, Xa, beta, " in the auxiliary regression")
     F = nested_f(ssr_r, ssr, q, T - p)
     # R^2 = (SSR_r - SSR) / SSR_r with the difference clamped as in F, where
     # 1 - SSR / SSR_r can round below zero
     r2 = q * F / (q * F + T - p)
     return TestReport(name, null, (_f(F, q, T - p), _chi2("obs_r2", T * r2, q)))
-
-
-# A vector times the power of two that brings its largest |x| into [0.5, 1),
-# ``unit_scale``'s rule. That is exact, so the powers of it that a statistic
-# forms neither overflow nor underflow, and a statistic free of the scale
-# keeps its bits.
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    return x * unit_scale(x[:, None])[0]
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,7 +177,7 @@ def _distinct_columns(Xa: np.ndarray) -> list[int]:
 def white_test(fit: FitResult) -> TestReport:
     """White heteroskedasticity test: e^2 on a constant, the non-constant
     regressors, their squares and cross-products, against the constant alone."""
-    X, u = fit.x_matrix, _unit_scaled(fit.residuals.values) ** 2
+    X, u = fit.x_matrix, unit_scaled(fit.residuals.values) ** 2
     regs = [X[:, i] for i, t in enumerate(fit.spec.regressors) if t.name != CONST]
     cols = [np.ones(fit.n_obs)] + regs + [z * z for z in regs]
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
@@ -236,7 +216,7 @@ def breusch_godfrey_test(fit: FitResult, lags: int = 1) -> TestReport:
         "Breusch-Godfrey Serial Correlation LM Test",
         f"no serial correlation at up to {lags} lag(s)",
         np.column_stack([fit.x_matrix] + lagged),
-        e, float(e @ e), lags,
+        e, fit.ssr, lags,
     )
 
 
@@ -251,7 +231,7 @@ def jarque_bera_test(residuals: Series) -> TestReport:
     T = len(e)
     if T < 4:
         raise SampleError(f"need at least 4 residuals, got {T}")
-    m = _unit_scaled(e - e.mean())
+    m = unit_scaled(e - e.mean())
     m2 = float((m**2).mean())
     if m2 <= 0:
         raise DomainError("residuals have zero variance")

@@ -3,6 +3,8 @@ Bartlett-kernel (Newey-West) long-run covariance for robust inference."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CollinearityError, ConfigError, DomainError
@@ -35,7 +37,8 @@ def long_run_cov(u: np.ndarray, m: int) -> np.ndarray:
 
     S = (1/T) [Gamma_0 + sum_{j=1}^{m-1} (1 - j/m) (Gamma_j + Gamma_j')]
     with Gamma_j = sum_t u_t u_{t-j}', which is zero for j >= T, so the sum
-    stops at min(m, T).
+    stops at min(m, T). S is symmetric bit for bit: numpy forms u'u
+    symmetrically, and each Gamma_j + Gamma_j' is symmetric.
     """
     u = np.asarray(u, dtype=float)
     T = u.shape[0]
@@ -43,7 +46,7 @@ def long_run_cov(u: np.ndarray, m: int) -> np.ndarray:
     for j in range(1, min(m, T)):
         gamma = u[j:].T @ u[:-j] / T
         S += (1.0 - j / m) * (gamma + gamma.T)
-    return 0.5 * (S + S.T)
+    return S
 
 
 def moment_root(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarray:
@@ -59,16 +62,24 @@ def moment_root(Z: np.ndarray, e: np.ndarray, cfg: HacConfig | None) -> np.ndarr
     a diagonal is at most n * eps for n kernel terms summed (min(m, T), or 1
     if classical). A one-quarter dummy among the regressors does this (its
     moment is rounding noise), and so does a bandwidth so large that every
-    Bartlett weight rounds to 1, which leaves S = (Z'e)(Z'e)'/T.
+    Bartlett weight rounds to 1, which leaves S = (Z'e)(Z'e)'/T. Raises
+    ``DomainError`` when 2 z'z e'e overflows for the largest z'z: it bounds
+    every sum behind S, whose under 2T terms over T are each at most z'z e'e.
     """
     T, k = Z.shape
-    ee = float(e @ e)
+    ee = float(np.vdot(e, e))
+    zz = np.einsum("ij,ij->j", Z, Z)
+    if not 2.0 * float(zz.max()) * ee < math.inf:
+        raise DomainError(
+            f"moment covariance overflows at residuals as large as {np.abs(e).max():.3g}; "
+            "rescale the data"
+        )
     if cfg is None:
         S, n = ee / T * (Z.T @ Z) / T, 1
     else:
         m = cfg.bandwidth or default_bandwidth(T)
         S, n = long_run_cov(Z * e[:, None], m), min(m, T)
-    scale = np.sqrt(np.einsum("ij,ij->j", Z, Z) * ee) / T
+    scale = np.sqrt(zz * ee) / T
     scale[scale == 0] = 1.0  # a zero moment leaves a zero row, which the rcond test rejects
     S = S / (scale[:, None] * scale)
     w, V = np.linalg.eigh(S)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 
 from . import dist
-from .errors import CollinearityError, ConfigError, SampleError
+from .errors import CollinearityError, ConfigError, DomainError, SampleError
 from .hac import _EPS, HacConfig, coef_cov
 from .records import Frozen, Record, is_integer
 from .series import Dataset, Quarter, Series, lag
@@ -176,6 +176,14 @@ def unit_scale(X: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, -np.frexp(_column_peaks(X))[1])[..., None, :]
 
 
+def unit_scaled(x: np.ndarray) -> np.ndarray:
+    """A vector times the power of two that brings its largest |x| into
+    [0.5, 1), ``unit_scale``'s rule. That is exact, so the powers of it that
+    a statistic forms do not overflow, and a statistic free of the scale
+    keeps its bits."""
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
 def _column_peaks(X: np.ndarray) -> np.ndarray:
     """The largest |x| of each column of a design or a stack of designs,
     reduced along rows of a C-ordered transposed copy: a faster pass than
@@ -253,26 +261,41 @@ def build_design(
     return _window(d, spec.dependent, start, end), X, (start, end)
 
 
-_EXACT_FIT = "dependent variable is an exact linear combination of the regressors"
+_NORMAL = np.finfo(float).tiny  # the smallest normal double
 
 
-def _exact_fit(ssr: float, ff: float, T: int) -> bool:
-    """``reject_exact_fit``'s rule for T observations whose fitted-term
-    sizes f have f'f = ff."""
-    return ssr <= (_EPS * T) ** 2 * ff
-
-
-def reject_exact_fit(ssr: float, X: np.ndarray, beta: np.ndarray, where: str = "") -> None:
-    """Raise ``CollinearityError`` when SSR <= (eps * T)^2 * |f|^2 for
-    f = |X| |beta|, the size of each observation's fitted terms: y is then an
-    exact linear combination of the regressors up to rounding. The rounding
-    level of the residuals scales with f, not with y, which is much smaller
-    where the fitted terms cancel. Each |x_j||b_j| survives a power-of-two
-    column scaling exactly, so the rule is unit-free. ``where`` is appended
-    to the message."""
+def reject_exact_fit(e: np.ndarray, X: np.ndarray, beta: np.ndarray, where: str = "") -> float:
+    """Return e'e, the SSR of the residuals e of a least-squares fit of
+    design X and coefficients beta, once the fit passes the exact-fit rule;
+    no least-squares SSR is formed elsewhere. Raise ``CollinearityError``
+    when SSR <= (eps * T)^2 * |f|^2 for f = |X| |beta|, the size of each
+    observation's fitted terms: y is then an exact linear combination of the
+    regressors up to rounding. The rounding level of the residuals scales
+    with f, not with y, which is much smaller where the fitted terms cancel.
+    Each |x_j||b_j| survives a power-of-two column scaling exactly, so the
+    rule is unit-free. ``np.vdot`` sums the squares without an overflow
+    warning. When e'e is not a finite normal double, or f'f overflows, the
+    rule is decided on e and f times one power of two (``unit_scaled``), and
+    an e'e that passes it raises ``DomainError`` naming the residuals' scale.
+    ``where`` is appended to either message."""
     f = np.abs(X) @ np.abs(beta)
-    if _exact_fit(ssr, float(f @ f), len(f)):
-        raise CollinearityError(_EXACT_FIT + where)
+    T = len(f)
+    ssr = ee = float(np.vdot(e, e))
+    ff = float(np.vdot(f, f))
+    normal = _NORMAL <= ssr < math.inf
+    if not (normal and ff < math.inf):
+        ef = unit_scaled(np.concatenate((e, f)))
+        ee, ff = np.vdot(ef[:T], ef[:T]), np.vdot(ef[T:], ef[T:])
+    if ee <= (_EPS * T) ** 2 * ff:
+        raise CollinearityError(
+            "dependent variable is an exact linear combination of the regressors" + where
+        )
+    if not normal:
+        raise DomainError(
+            f"residual sum of squares {'overflows' if ssr > 1 else 'underflows'} at residuals "
+            f"as large as {np.abs(e).max():.3g}{where}; rescale the dependent variable"
+        )
+    return ssr
 
 
 def summarize(
@@ -280,15 +303,23 @@ def summarize(
 ) -> dict:
     """Summary block shared by plain and instrumented fits, from the
     dependent vector, the residuals, the design and the coefficients.
-    An exact fit raises (``reject_exact_fit``).
+    An exact fit raises (``reject_exact_fit``), and so does an SSR outside a
+    double's finite normal range or a y'y whose fourfold overflows.
     """
     T, k = X.shape
-    ssr = float(e @ e)
+    ssr = reject_exact_fit(e, X, beta)
+    yy = float(np.vdot(y, y))
+    # y'y bounds the TSS, centred or not, and a least-squares SSR; 4 y'y
+    # bounds its DW sum
+    if not 4.0 * yy < math.inf:
+        raise DomainError(
+            f"sums of squares overflow at a dependent variable as large as "
+            f"{np.abs(y).max():.3g}; rescale it"
+        )
     mean = float(y.mean())
     dev = y - mean
     dev2 = float((dev * dev).sum())  # pairwise, as np.std sums it
-    tss = dev2 if has_constant else float(y @ y)
-    reject_exact_fit(ssr, X, beta)
+    tss = dev2 if has_constant else yy
     r2 = 1.0 - ssr / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (T - 1) / (T - k)
     dw = float(((e[1:] - e[:-1]) ** 2).sum() / ssr)
@@ -307,8 +338,15 @@ def summarize(
 
 def inference(beta: np.ndarray, V: np.ndarray, df: int) -> dict:
     """Coefficients and covariance with their standard errors, t statistics
-    and two-sided Student-t p-values on ``df`` degrees of freedom."""
-    se = np.sqrt(V.diagonal())
+    and two-sided Student-t p-values on ``df`` degrees of freedom. A
+    variance that has lost bits below a double's normal range raises."""
+    var = V.diagonal()
+    if not var.min() >= _NORMAL:
+        raise DomainError(
+            f"coefficient variance {var.min():.3g} is below a double's normal range; "
+            "rescale the data"
+        )
+    se = np.sqrt(var)
     t_stats = beta / se
     return {
         "coefficients": beta,

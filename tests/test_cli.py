@@ -588,14 +588,8 @@ class TestTest:
         assert err == ("estimation error: dependent variable is an exact linear combination "
                        "of the regressors in the auxiliary regression\n")
 
-    @pytest.mark.parametrize("kind", ["jb", "white"])
-    @pytest.mark.parametrize("factor", [1e-150, 1e150])
-    def test_jb_and_white_do_not_depend_on_the_residual_scale(
-        self, capsys, tmp_path, kind, factor
-    ):
-        # the interest rate times 1e-150 made JB raise ZeroDivisionError and
-        # White exit 1 with a false exact fit; times 1e150 OverflowError and
-        # the same false exit
+    @staticmethod
+    def _rate_scaled(tmp_path, factor):
         lines = (Path(taylorlab.__file__).parent / "data" / "us.csv").read_text().splitlines()
         col = lines[0].split(",").index("interest_rate")
         rows = [lines[0]]
@@ -605,11 +599,43 @@ class TestTest:
             rows.append(",".join(cells))
         p = tmp_path / "scaled.csv"
         p.write_text("\n".join(rows))
+        return str(p)
+
+    @pytest.mark.parametrize("kind", ["jb", "white"])
+    @pytest.mark.parametrize("factor", [1e-150, 1e150])
+    def test_jb_and_white_do_not_depend_on_the_residual_scale(
+        self, capsys, tmp_path, kind, factor
+    ):
+        # the interest rate times 1e-150 made JB raise ZeroDivisionError and
+        # White exit 1 with a false exact fit; times 1e150 OverflowError and
+        # the same false exit
         reg = ("--reg", "inflation_gap,output_gap")
-        code, out, err = run_cli(capsys, "test", kind, "--csv", str(p), *reg)
+        code, out, err = run_cli(
+            capsys, "test", kind, "--csv", self._rate_scaled(tmp_path, factor), *reg
+        )
         assert (code, err) == (0, "")
         assert out == run_cli(capsys, "test", kind, "--country", "us", *reg)[1]
         assert ("4.508836" if kind == "jb" else "1.637360") in out
+
+    @pytest.mark.parametrize("command", [
+        ("fit",), ("test", "jb"), ("test", "white"), ("test", "bg"),
+        ("test", "wald", "--restrict", "b1=0.5"), ("test", "chow", "--break", "2003Q1"),
+    ])
+    @pytest.mark.parametrize("factor,flows,size", [
+        (1e-300, "underflows", "3.87e-300"), (1e300, "overflows", "3.87e+300"),
+    ])
+    def test_residual_squares_beyond_a_double_name_the_scale(
+        self, capsys, tmp_path, command, factor, flows, size
+    ):
+        # times 1e-300 every command exited 1 with a false exact fit; times
+        # 1e300 fit and chow also warned of overflow at e'e
+        code, out, err = run_cli(
+            capsys, *command, "--csv", self._rate_scaled(tmp_path, factor),
+            "--reg", "inflation_gap,output_gap",
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: residual sum of squares {flows} at residuals as large as "
+                       f"{size}; rescale the dependent variable\n")
 
     def test_chow_ignores_singular_pooled_moment_covariance(self, capsys):
         # the statistic is built from SSRs; the pooled fit's HAC covariance,

@@ -253,9 +253,7 @@ def _chow_by_system(d, spec, break_at):
     betas = [ols.solve_ols(X[rows], y[rows], labels) for rows, _ in systems]
     ssrs = []
     for (rows, where), beta in zip(systems, betas):
-        e = y[rows] - X[rows] @ beta
-        ssrs.append(float(e @ e))
-        ols.reject_exact_fit(ssrs[-1], X[rows], beta, where)
+        ssrs.append(ols.reject_exact_fit(y[rows] - X[rows] @ beta, X[rows], beta, where))
     ssr, ssr1, ssr2 = ssrs
     F = max(ssr - ssr1 - ssr2, 0.0) / k / ((ssr1 + ssr2) / (T - 2 * k))
     lr = 2.0 * sum(ols.log_likelihood(s, n) for s, n in ((ssr1, n1), (ssr2, T - n1)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taylorlab.errors import CollinearityError, ConfigError, DomainError
 from taylorlab.hac import (
@@ -48,6 +50,20 @@ class TestLongRunCov:
             G = u[j:].T @ u[:-j]
             S = S + (1.0 - j / m) * (G + G.T)
         assert np.allclose(long_run_cov(u, m), S / T, rtol=1e-13, atol=1e-15)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        T=st.integers(2, 60), k=st.integers(1, 6), m=st.integers(1, 80),
+        log_scales=st.lists(st.floats(-50.0, 50.0), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1), fortran=st.booleans(),
+    )
+    def test_symmetric_bit_for_bit(self, T, k, m, log_scales, seed, fortran):
+        # numpy forms u'u symmetrically and each Gamma_j + Gamma_j' is
+        # symmetric, so S needs no closing symmetrization
+        u = np.random.default_rng(seed).normal(size=(T, k)) * 10.0 ** np.array(log_scales[:k])
+        S = long_run_cov(np.asfortranarray(u) if fortran else u, m)
+        assert np.array_equal(S, S.T)
 
 
 class TestNeweyWestCov:
@@ -214,6 +230,18 @@ class TestSingularMomentCov:
         Z, e = self._moments(0.0)
         with pytest.raises(CollinearityError, match="singular moment covariance"):
             moment_root(Z, 0.0 * e, cfg)
+
+
+@pytest.mark.parametrize("cfg", [None, HacConfig(4)])
+@pytest.mark.parametrize("e_scale", [1e153, 1e300])
+def test_overflowing_moment_sizes_raise(cfg, e_scale):
+    # 2 z'z e'e bounds every sum behind S; past the largest double the
+    # moment covariance raises, with no overflow warning
+    rng = np.random.default_rng(5)
+    Z = np.column_stack([np.ones(40), rng.normal(size=40)])
+    e = e_scale * rng.normal(size=40)
+    with pytest.raises(DomainError, match="^moment covariance overflows at residuals as large as"):
+        moment_root(Z, e, cfg)
 
 
 class TestHacConfig:

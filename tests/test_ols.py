@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from taylorlab import ols
-from taylorlab.errors import CollinearityError, ConfigError, SampleError
+from taylorlab.errors import CollinearityError, ConfigError, DomainError, SampleError
 from taylorlab.hac import HacConfig
 from taylorlab.report import render_table
 from taylorlab.ols import RegressionSpec, Term, build_design, fit_ols, solve_ols, summarize
@@ -350,3 +350,85 @@ class TestFitOls:
         assert lines[-1].split() == ["Prob(F-statistic)", "0.0000"]
         payload = json.loads(render_table(fit, "json"))
         assert payload["f_statistic"] == fit.f_statistic and payload["f_prob"] == 0.0
+
+
+class TestScale:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        T=st.integers(2, 60), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+        stride=st.integers(1, 3),
+    )
+    def test_reject_exact_fit_returns_e_dot_e(self, T, k, seed, stride):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(size=T * stride)[::stride]
+        X, beta = rng.normal(size=(T, k)), rng.normal(size=k)
+        assert ols.reject_exact_fit(e, X, beta) == float(e @ e)
+
+    @pytest.mark.parametrize("factor", [2.0**-1060, 1e-300, 1e300])
+    def test_out_of_range_ssr_is_not_an_exact_fit(self, factor):
+        # e'e underflows or overflows, and f'f with it; at one power of two
+        # the rule sees an ordinary fit
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 2))
+        beta = factor * np.array([1.0, -2.0])
+        e = factor * rng.normal(size=30)
+        with pytest.raises(DomainError, match="^residual sum of squares (under|over)flows"):
+            ols.reject_exact_fit(e, X, beta)
+        with pytest.raises(CollinearityError, match="exact linear combination"):
+            ols.reject_exact_fit(1e-18 * e, X, beta)
+
+    def test_overflowing_dependent_sums_raise(self):
+        # e'e is normal, but 4 y'y, which bounds the TSS, the SSR and DW's
+        # sum, overflows
+        y = np.full(10, 1e154)
+        with pytest.raises(DomainError, match="^sums of squares overflow at a dependent"):
+            summarize(y, np.linspace(-1.0, 1.0, 10), np.ones((10, 1)), np.zeros(1), True)
+
+    def test_subnormal_variance_raises(self):
+        with pytest.raises(DomainError, match="^coefficient variance 1e-310 is below"):
+            ols.inference(np.ones(2), np.diag([1.0, 1e-310]), 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        country=st.sampled_from(["us", "uk"]), lagged_s=st.booleans(), constant=st.booleans(),
+        # the whole double range, and more densely the bands where the
+        # residuals' squares leave the normal range
+        p=st.one_of(st.integers(-1100, 1030), st.integers(-520, -490), st.integers(490, 520)),
+    )
+    def test_dependent_times_a_power_of_two(self, us_data, uk_data, country, lagged_s,
+                                            constant, p):
+        # y * 2^p, from a largest |y| of the smallest subnormal up to a
+        # Euclidean norm of 2^1024, beyond which no QR can hold Q'y. The fit
+        # raises DomainError, never CollinearityError or a numpy warning, or
+        # keeps its scale-free statistics
+        d = us_data if country == "us" else uk_data
+        spec = RegressionSpec(
+            "it", ("inflation_gap", "output_gap") + (("s(-1)",) if lagged_s else ()),
+            include_constant=constant,
+        )
+        want = fit_ols(d, spec)
+        y = d["it"].values
+        lo = -1073 - np.frexp(np.abs(y).max())[1]
+        hi = 1024 - np.frexp(np.abs(y).max() * np.sqrt(len(y)))[1]
+        p = min(max(p, lo), hi)
+        try:
+            got = fit_ols(d.with_series(Series("it", d["it"].start, np.ldexp(y, p))), spec)
+        except DomainError:
+            return
+        g, w = (
+            np.array([*fit.t_stats, *fit.p_values, fit.r2, fit.f_statistic, fit.durbin_watson])
+            for fit in (got, want)
+        )
+        if want.ssr * 4.0**p >= 2.0**-970:
+            # the SSR 2^52 above the smallest normal double: every square
+            # the fit forms stays normal, so it scales exactly
+            assert np.array_equal(g, w, equal_nan=True)
+            return
+        # a square or product below the normal range is off by up to half of
+        # 2^-1074, far below the sums it enters; a p-value's relative error
+        # is at most t^2 times its t's
+        t2 = want.t_stats**2
+        tol = 2.0**-40 * np.concatenate([np.ones_like(t2), 1 + t2, [1.0, 1.0, 1.0]])
+        assert (np.isnan(g) == np.isnan(w)).all()
+        ok = ~np.isnan(w)
+        assert (np.abs(g[ok] / w[ok] - 1) <= tol[ok]).all()

@@ -92,9 +92,7 @@ def ref_chow(d, spec, break_at):
     T, k = X.shape
     labels = [t.label for t in spec.regressors]
     beta = solve_ols(X, y, labels)
-    e = y - X @ beta
-    ssr = float(e @ e)
-    reject_exact_fit(ssr, X, beta)
+    ssr = reject_exact_fit(y - X @ beta, X, beta)
     if not (start < break_at <= end):
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
     n1 = break_at - start
@@ -104,9 +102,7 @@ def ref_chow(d, spec, break_at):
         where = f" over the regime {first}..{last}"
         reject_unidentified(len(y[rows]), k, where)
         beta = solve_ols(X[rows], y[rows], labels)
-        e = y[rows] - X[rows] @ beta
-        regimes.append(float(e @ e))
-        reject_exact_fit(regimes[-1], X[rows], beta, where)
+        regimes.append(reject_exact_fit(y[rows] - X[rows] @ beta, X[rows], beta, where))
     ssr1, ssr2 = regimes
     F = max(((ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
     s2 = ssr / T
