@@ -95,12 +95,13 @@ def chow_breakpoint_test(d: Dataset, spec: RegressionSpec, break_at: Quarter) ->
     one stack for their SSRs alone, and their residuals are one pass over the
     stack; each SSR is ``reject_exact_fit`` over the system's own rows. The
     pooled model's errors come first; a regime too small to identify the
-    model, or that is an exact fit, raises naming its quarters. The
-    statistics are built from SSRs, so ``spec.covariance`` plays no part.
-    Reports F (``nested_f`` of the pooled SSR against ssr1 + ssr2), the
-    likelihood ratio, and the Wald form k*F.
+    model, or that is an exact fit, raises naming its quarters. Reports F
+    (``nested_f`` of the pooled SSR against ssr1 + ssr2), the likelihood ratio
+    and the Wald form k*F: ratios of SSRs, so ``spec.covariance`` plays no
+    part, and y's scale is divided out exactly, by a power of two (``unit_scaled``).
     """
     y, X, (start, end) = build_design(d, spec)
+    y = unit_scaled(y)[0]
     T, k = X.shape
     reject_unidentified(T, k)  # the pooled model's errors come first
     if not (start < break_at <= end):
@@ -177,7 +178,7 @@ def _distinct_columns(Xa: np.ndarray) -> list[int]:
 def white_test(fit: FitResult) -> TestReport:
     """White heteroskedasticity test: e^2 on a constant, the non-constant
     regressors, their squares and cross-products, against the constant alone."""
-    X, u = fit.x_matrix, unit_scaled(fit.residuals.values) ** 2
+    X, u = fit.x_matrix, unit_scaled(fit.residuals.values)[0] ** 2
     regs = [X[:, i] for i, t in enumerate(fit.spec.regressors) if t.name != CONST]
     cols = [np.ones(fit.n_obs)] + regs + [z * z for z in regs]
     cols += [a * b for a, b in itertools.combinations(regs, 2)]
@@ -231,7 +232,7 @@ def jarque_bera_test(residuals: Series) -> TestReport:
     T = len(e)
     if T < 4:
         raise SampleError(f"need at least 4 residuals, got {T}")
-    m = unit_scaled(e - e.mean())
+    m = unit_scaled(e - e.mean())[0]
     m2 = float((m**2).mean())
     if m2 <= 0:
         raise DomainError("residuals have zero variance")

@@ -114,11 +114,6 @@ class Estimate(Frozen):
     )
 
     def __init__(self, **fields):
-        if fields.keys() != set(self._fields):
-            raise TypeError(
-                f"{type(self).__name__} takes the fields {', '.join(self._fields)}; "
-                f"got {', '.join(fields)}"
-            )
         self.__dict__.update(fields)
 
     def coef(self, label: str) -> float:
@@ -146,13 +141,13 @@ def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
     per design; beta has the matching shape. Needs more rows than columns,
     and names the rank-deficient columns of the first deficient design by
     ``labels`` (else index). Columns are scaled by powers of two
-    (``unit_scale``), so that the rank rule is unit-free, and beta is
+    (``unit_scaled``), so that the rank rule is unit-free, and beta is
     unscaled exactly. Zero rows change neither R nor Q'y, so designs with
     fewer observations stack zero-padded to T rows."""
     T, k = X.shape[-2:]
     reject_unidentified(T, k)
-    s = unit_scale(X)
-    Q, R = np.linalg.qr(X * s)
+    X, e = unit_scaled(X)
+    Q, R = np.linalg.qr(X)
     diag = np.abs(R.diagonal(axis1=-2, axis2=-1))
     tol = 1e-10 * diag.max(axis=-1, keepdims=True) if k else 0.0
     bad = diag <= tol
@@ -165,23 +160,20 @@ def solve_ols(X: np.ndarray, y: np.ndarray, labels=None) -> np.ndarray:
         )
     vector = y.ndim < X.ndim
     beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ (y[..., None] if vector else y))
-    beta = beta * s.swapaxes(-1, -2)
+    beta = np.ldexp(beta, -e.swapaxes(-1, -2))
     return beta[..., 0] if vector else beta
 
 
-def unit_scale(X: np.ndarray) -> np.ndarray:
-    """Per-column powers of two 2^-e, e from ``np.frexp`` of the column's
-    largest |x|, which bring that into [0.5, 1); 1 for a zero column. The
-    row axis is kept, so ``X * unit_scale(X)`` scales a design or a stack."""
-    return np.ldexp(1.0, -np.frexp(_column_peaks(X))[1])[..., None, :]
-
-
-def unit_scaled(x: np.ndarray) -> np.ndarray:
-    """A vector times the power of two that brings its largest |x| into
-    [0.5, 1), ``unit_scale``'s rule. That is exact, so the powers of it that
-    a statistic forms do not overflow, and a statistic free of the scale
-    keeps its bits."""
-    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(np.ldexp(a, -e), e)``: a vector, or each column of a design or a
+    stack of designs, times the power of two 2^-e that brings its largest
+    |x| into [0.5, 1), with e from ``np.frexp`` of that peak (one e for a
+    vector, 0 for a zero column; a design's e keeps the row axis). That is
+    exact, no factor 2^-e is formed, so a subnormal peak does not overflow,
+    the powers that a statistic forms of the result do not overflow, and a
+    statistic free of the scale keeps its bits."""
+    e = np.frexp(np.abs(a).max() if a.ndim == 1 else _column_peaks(a)[..., None, :])[1]
+    return np.ldexp(a, -e), e
 
 
 def _column_peaks(X: np.ndarray) -> np.ndarray:
@@ -284,7 +276,7 @@ def reject_exact_fit(e: np.ndarray, X: np.ndarray, beta: np.ndarray, where: str 
     ff = float(np.vdot(f, f))
     normal = _NORMAL <= ssr < math.inf
     if not (normal and ff < math.inf):
-        ef = unit_scaled(np.concatenate((e, f)))
+        ef = unit_scaled(np.concatenate((e, f)))[0]
         ee, ff = np.vdot(ef[:T], ef[:T]), np.vdot(ef[T:], ef[T:])
     if ee <= (_EPS * T) ** 2 * ff:
         raise CollinearityError(

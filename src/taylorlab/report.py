@@ -63,15 +63,17 @@ def _summary_rows(result: Estimate) -> tuple:
     return _SHARED_ROWS + (_FIT_ROWS if isinstance(result, FitResult) else _GMM_ROWS)
 
 
+def _coefficient_rows(result: Estimate):
+    """(label, coefficient, standard error, t, p) per regressor, as floats."""
+    return zip(result.labels, result.coefficients.tolist(), result.std_errors.tolist(),
+               result.t_stats.tolist(), result.p_values.tolist())
+
+
 def flatten(result) -> dict:
     """Flat label -> value view of a result, used for golden lookups."""
     if isinstance(result, Estimate):
         out = {}
-        columns = zip(
-            result.labels, result.coefficients.tolist(), result.std_errors.tolist(),
-            result.t_stats.tolist(), result.p_values.tolist(),
-        )
-        for lab, coef, se, t, p in columns:
+        for lab, coef, se, t, p in _coefficient_rows(result):
             out[f"coef:{lab}"] = coef
             out[f"se:{lab}"] = se
             out[f"t:{lab}"] = t
@@ -141,11 +143,7 @@ def render_table(result, fmt: str = "text") -> str:
             f"{'Variable':<18}{'Coefficient':>14}{'Std. Error':>14}"
             f"{'t-Statistic':>14}{'Prob.':>10}",
         ]
-        rows = zip(
-            result.labels, result.coefficients.tolist(), result.std_errors.tolist(),
-            result.t_stats.tolist(), result.p_values.tolist(),
-        )
-        for lab, coef, se, t, p in rows:
+        for lab, coef, se, t, p in _coefficient_rows(result):
             lines.append(
                 f"{lab:<18}{_fmt_num(coef):>14}{_fmt_num(se):>14}{_fmt_num(t):>14}"
                 f"{_fmt_p(p):>10}"

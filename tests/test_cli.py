@@ -617,9 +617,19 @@ class TestTest:
         assert out == run_cli(capsys, "test", kind, "--country", "us", *reg)[1]
         assert ("4.508836" if kind == "jb" else "1.637360") in out
 
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    def test_chow_does_not_depend_on_the_scale_of_y(self, capsys, tmp_path, factor):
+        # its statistics are ratios of SSRs; at these scales it exited 2
+        # naming the scale of the residual sum of squares
+        command = ("test", "chow", "--reg", "inflation_gap,output_gap", "--break", "2003Q1")
+        code, out, err = run_cli(capsys, *command, "--csv", self._rate_scaled(tmp_path, factor))
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *command, "--country", "us")[1]
+        assert "56.809008" in out and "108.898303" in out
+
     @pytest.mark.parametrize("command", [
         ("fit",), ("test", "jb"), ("test", "white"), ("test", "bg"),
-        ("test", "wald", "--restrict", "b1=0.5"), ("test", "chow", "--break", "2003Q1"),
+        ("test", "wald", "--restrict", "b1=0.5"),
     ])
     @pytest.mark.parametrize("factor,flows,size", [
         (1e-300, "underflows", "3.87e-300"), (1e300, "overflows", "3.87e+300"),

@@ -22,6 +22,7 @@ from taylorlab.hac import HacConfig
 from taylorlab.ols import RegressionSpec, fit_ols
 from taylorlab.series import Dataset, Quarter, Series
 from taylorlab.tables import baseline_spec, run_table
+from test_stacked import _chow_by_system
 
 
 def _toy_dataset(columns: dict, start=Quarter(2000, 1)) -> Dataset:
@@ -229,36 +230,6 @@ class TestChow:
         d = _toy_dataset({"y": rng.normal(size=20), "x": rng.normal(size=20), "dummy": dummy})
         with pytest.raises(CollinearityError, match="dummy"):
             chow_breakpoint_test(d, RegressionSpec("y", ("x", "dummy")), Quarter(2002, 3))
-
-
-def _chow_by_system(d, spec, break_at):
-    """Chow's F, LR and Wald form with each system fitted alone, in the
-    error order of ``chow_breakpoint_test``: the pooled model, the
-    breakpoint, then each regime's size, every system's rank and each
-    system's exact fit."""
-    y, X, (start, end) = ols.build_design(d, spec)
-    T, k = X.shape
-    ols.reject_unidentified(T, k)
-    if not start < break_at <= end:
-        raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
-    n1 = break_at - start
-    systems = [
-        (slice(None), ""),
-        (slice(None, n1), f" over the regime {start}..{break_at.offset(-1)}"),
-        (slice(n1, None), f" over the regime {break_at}..{end}"),
-    ]
-    for rows, where in systems[1:]:
-        ols.reject_unidentified(len(y[rows]), k, where)
-    labels = [t.label for t in spec.regressors]
-    betas = [ols.solve_ols(X[rows], y[rows], labels) for rows, _ in systems]
-    ssrs = []
-    for (rows, where), beta in zip(systems, betas):
-        ssrs.append(ols.reject_exact_fit(y[rows] - X[rows] @ beta, X[rows], beta, where))
-    ssr, ssr1, ssr2 = ssrs
-    F = max(ssr - ssr1 - ssr2, 0.0) / k / ((ssr1 + ssr2) / (T - 2 * k))
-    lr = 2.0 * sum(ols.log_likelihood(s, n) for s, n in ((ssr1, n1), (ssr2, T - n1)))
-    lr -= 2.0 * ols.log_likelihood(ssr, T)
-    return F, lr, k * F
 
 
 def _chow_outcome(test, d, spec, break_at):

@@ -124,7 +124,7 @@ class TestSolveOls:
 
 
 class TestUnitScale:
-    """``unit_scale`` and White's column peaks reduce a C-ordered transposed
+    """``unit_scaled`` and White's column peaks reduce a C-ordered transposed
     copy; every value, bit for bit, and every shape is that of the max down
     the strided rows."""
 
@@ -144,17 +144,30 @@ class TestUnitScale:
         X[rng.random(shape) < 0.25] = rng.choice([0.0, -0.0])
         X[..., zero % shape[-1]] = rng.choice([0.0, -0.0])
         X = {"C": X, "F": np.asfortranarray(X), "rows": X[..., ::2, :]}[layout]
-        strided = np.ldexp(1.0, -np.frexp(np.abs(X).max(axis=-2, keepdims=True))[1])
-        scale = ols.unit_scale(X)
-        assert (scale.shape, scale.dtype) == (strided.shape, strided.dtype)
-        assert scale.tobytes() == strided.tobytes()
+        strided = np.frexp(np.abs(X).max(axis=-2, keepdims=True))[1]
+        scaled, e = ols.unit_scaled(X)
+        assert (e.shape, e.dtype) == (strided.shape, strided.dtype)
+        assert e.tobytes() == strided.tobytes()
+        assert scaled.tobytes() == (X * np.ldexp(1.0, -strided)).tobytes()
         peaks = ols._column_peaks(X)
         assert peaks.shape == X.shape[:-2] + X.shape[-1:]
         assert peaks.tobytes() == np.abs(X).max(axis=-2).tobytes()
 
     def test_zero_column_scales_by_one(self):
         X = np.array([[0.0, -3.0], [-0.0, 1e-300]])
-        assert ols.unit_scale(X).tolist() == [[1.0, 0.25]]
+        scaled, e = ols.unit_scaled(X)
+        assert e.tolist() == [[0, 2]]
+        assert scaled.tobytes() == (X * [1.0, 0.25]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subnormal_columns_solve(self, seed):
+        # a column peak below 2^-1022 has an exponent whose factor 2^-e is
+        # not a double: scaling the values by np.ldexp forms none. The
+        # design's cells keep about 14 bits, the noise is 2^-10 of y
+        rng = np.random.default_rng(seed)
+        X = np.ldexp(np.column_stack([np.ones(50), rng.normal(size=50)]), -1060)
+        y = X @ [2.0, 3.0] + np.ldexp(rng.normal(size=50), -1070)
+        assert solve_ols(X, y) == pytest.approx([2.0, 3.0], rel=1e-3)
 
 
 class TestSummarize:

@@ -155,17 +155,39 @@ def test_cli_json_within_1e12_of_snapshot(command):
     assert_json_close(json.loads(cli_output(command, "json")), expected)
 
 
+def _holds(path: Path, text: str) -> bool:
+    """Whether the snapshot file already holds ``text`` under its own rule:
+    within 1e-12 for ``cli.json`` and the JSON of the tables other than 9
+    and 17, byte for byte for the rest."""
+    if not path.exists():
+        return False
+    if path.name == "cli.json" or path.name in {f"table{t:02d}.json" for t in OTHER_TABLES}:
+        try:
+            assert_json_close(json.loads(text), json.loads(path.read_text()))
+        except AssertionError:
+            return False
+        return True
+    return path.read_text() == text
+
+
 def write_snapshots() -> None:
+    """Write each snapshot file that the program's output fails, so that
+    regenerating one group leaves the others, and JSON digits that drifted
+    within the 1e-12 rule, as they are."""
     SNAPSHOTS.mkdir(exist_ok=True)
     datasets = {c: reproduction_dataset(c) for c in COUNTRIES}
+    files = {}
     for tid in TABLES:
-        (SNAPSHOTS / f"table{tid:02d}.txt").write_text(table_text(tid, datasets))
-        (SNAPSHOTS / f"table{tid:02d}.json").write_text(table_text(tid, datasets, "json"))
+        files[f"table{tid:02d}.txt"] = table_text(tid, datasets)
+        files[f"table{tid:02d}.json"] = table_text(tid, datasets, "json")
     for c in COUNTRIES:
-        (SNAPSHOTS / f"reproduce_{c}_v.txt").write_text(reproduce_verbose(c))
-    (SNAPSHOTS / "cli.txt").write_text("".join(cli_text(c) for c in CLI_COMMANDS))
+        files[f"reproduce_{c}_v.txt"] = reproduce_verbose(c)
+    files["cli.txt"] = "".join(cli_text(c) for c in CLI_COMMANDS)
     cli_json = {c: json.loads(cli_output(c, "json")) for c in CLI_COMMANDS}
-    (SNAPSHOTS / "cli.json").write_text(json.dumps(cli_json, indent=1) + "\n")
+    files["cli.json"] = json.dumps(cli_json, indent=1) + "\n"
+    for name, text in files.items():
+        if not _holds(SNAPSHOTS / name, text):
+            (SNAPSHOTS / name).write_text(text)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,8 @@
 designs, each zero-padded to a common number of rows, must match solving
 them one at a time, and ``chow_breakpoint_test``, which solves its pooled
 model and both regimes as one stack, must match the three-solve test kept
-below as its reference."""
-
-import math
+below as its reference, ``_chow_by_system``, which ``test_diagnostics``
+also draws on."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +13,8 @@ from taylorlab import diagnostics
 from taylorlab.diagnostics import chow_breakpoint_test
 from taylorlab.errors import SampleError, TaylorLabError
 from taylorlab.ols import (
-    RegressionSpec, build_design, reject_exact_fit, reject_unidentified, solve_ols,
+    RegressionSpec, build_design, log_likelihood, reject_exact_fit, reject_unidentified,
+    solve_ols,
 )
 from taylorlab.series import Dataset, Quarter, Series
 from taylorlab.tables import baseline_spec
@@ -84,30 +84,34 @@ def test_zero_padded_stack_matches_solves_one_at_a_time(stack):
         assert (err <= 1e-13 * np.linalg.norm(y.reshape(len(y), -1), axis=0)).all()
 
 
-# The reference: the pooled model and each regime solved one at a time, as
-# before the stack. Its only change is that a regime too small to identify
-# the model is named, as an exact-fit regime already was.
-def ref_chow(d, spec, break_at):
+def _chow_by_system(d, spec, break_at):
+    """Chow's F, LR and Wald form with each system fitted alone, in the
+    error order of ``chow_breakpoint_test``: the pooled model, the
+    breakpoint, then each regime's size, every system's rank and each
+    system's exact fit."""
     y, X, (start, end) = build_design(d, spec)
     T, k = X.shape
-    labels = [t.label for t in spec.regressors]
-    beta = solve_ols(X, y, labels)
-    ssr = reject_exact_fit(y - X @ beta, X, beta)
-    if not (start < break_at <= end):
+    reject_unidentified(T, k)
+    if not start < break_at <= end:
         raise SampleError(f"breakpoint {break_at} outside sample {start}..{end}")
     n1 = break_at - start
-    regimes = []
-    for rows, first, last in ((slice(None, n1), start, break_at.offset(-1)),
-                              (slice(n1, None), break_at, end)):
-        where = f" over the regime {first}..{last}"
+    systems = [
+        (slice(None), ""),
+        (slice(None, n1), f" over the regime {start}..{break_at.offset(-1)}"),
+        (slice(n1, None), f" over the regime {break_at}..{end}"),
+    ]
+    for rows, where in systems[1:]:
         reject_unidentified(len(y[rows]), k, where)
-        beta = solve_ols(X[rows], y[rows], labels)
-        regimes.append(reject_exact_fit(y[rows] - X[rows] @ beta, X[rows], beta, where))
-    ssr1, ssr2 = regimes
-    F = max(((ssr - ssr1 - ssr2) / k) / ((ssr1 + ssr2) / (T - 2 * k)), 0.0)
-    s2 = ssr / T
-    lr = n1 * math.log(s2 * n1 / ssr1) + (T - n1) * math.log(s2 * (T - n1) / ssr2)
-    return {"F": F, "LR": lr, "chi2": k * F}
+    labels = [t.label for t in spec.regressors]
+    betas = [solve_ols(X[rows], y[rows], labels) for rows, _ in systems]
+    ssrs = []
+    for (rows, where), beta in zip(systems, betas):
+        ssrs.append(reject_exact_fit(y[rows] - X[rows] @ beta, X[rows], beta, where))
+    ssr, ssr1, ssr2 = ssrs
+    F = max(ssr - ssr1 - ssr2, 0.0) / k / ((ssr1 + ssr2) / (T - 2 * k))
+    lr = 2.0 * sum(log_likelihood(s, n) for s, n in ((ssr1, n1), (ssr2, T - n1)))
+    lr -= 2.0 * log_likelihood(ssr, T)
+    return F, lr, k * F
 
 
 START = Quarter(2000, 1)
@@ -154,28 +158,27 @@ def chow_cases(draw):
 
 def _chow_values(d, spec, break_at):
     rep = chow_breakpoint_test(d, spec, break_at)
-    return {s.form: s.value for s in rep.statistics}
+    return tuple(rep.stat(form).value for form in ("F", "LR", "chi2"))
 
 
 @settings(max_examples=300, deadline=None)
 @given(chow_cases())
 def test_chow_matches_three_solve_reference(case):
-    want = _outcome(ref_chow, *case)
+    want = _outcome(_chow_by_system, *case)
     got = _outcome(_chow_values, *case)
-    if isinstance(want, tuple):
+    if isinstance(want[0], type):
         assert got == want
         return
-    assert not isinstance(got, tuple), got
-    assert got.keys() == want.keys()
+    assert not isinstance(got[0], type), got
     # F = (ssr / (ssr1 + ssr2) - 1) (T - 2k) / k is a difference, as LR is
     # of n log(variance ratio) terms: each is held to 1e-12 of the terms it
     # is the difference of, which a statistic near 0 is much smaller than
     _, X, _ = build_design(*case[:2])
     T, k = X.shape
-    scale = {"F": want["F"] + (T - 2 * k) / k, "LR": abs(want["LR"]) + T}
-    scale["chi2"] = k * scale["F"]
-    for form, value in want.items():
-        assert abs(got[form] - value) <= 1e-12 * scale[form], form
+    f_scale = want[0] + (T - 2 * k) / k
+    scale = (f_scale, abs(want[1]) + T, k * f_scale)
+    for form, g, w, s in zip(("F", "LR", "chi2"), got, want, scale):
+        assert abs(g - w) <= 1e-12 * s, form
 
 
 def test_chow_makes_one_solve(us_data, monkeypatch):
